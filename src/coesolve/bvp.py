@@ -3,9 +3,10 @@
 The elliptic equation -u_tt + L_x u = f decouples per x-frequency into a
 two-point BVP -v'' + M_j v = g with Robin rows alpha u + beta u' = data at
 both ends.  Time is discretized by second-order centered differences with
-one-sided second-order stencils in the boundary rows, giving a banded (or
-block-banded) system per frequency.  Semilinear right-hand sides are
-handled by Picard iteration around the linear solver.
+one-sided second-order stencils in the boundary rows.  In the eigenbasis of A
+each frequency splits into scalar banded systems; a dense A without a
+well-conditioned eigenbasis falls back to one block system per frequency.
+Semilinear right-hand sides are handled by Picard iteration.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _solve_scalar_bvp(m_vals, rhs, bc, dt):
 
 
 def _solve_block_bvp(m_mat, rhs, bc, dt):
-    """Dense block solve of one frequency's system with matrix shift m_mat."""
+    """Dense block solve of one frequency (fallback for A without an eigenbasis)."""
     npts, d = rhs.shape
     (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
     idt2 = 1.0 / dt**2
@@ -205,8 +206,8 @@ def solve_bvp_linear(
     """Solve -u_tt + L_x u = f on the strip with Robin boundary rows.
 
     ``forcing`` is None, an (m+2, n, dim) array, or a callable t -> (n, dim)
-    samples.  Structured operator kinds are diagonalized so each frequency
-    reduces to scalar banded solves; dense kinds use block solves.
+    samples.  Each frequency reduces to scalar banded solves in the eigenbasis
+    of A; block solves are the fallback for a dense A without one.
     """
     problem.require_checked()
     if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
@@ -262,22 +263,18 @@ def bvp_discrete_residual(
     solution: StripField,
     forcing=None,
 ) -> float:
-    """Max-abs residual of the discrete system at a candidate solution."""
+    """Max-abs residual of the discrete system at a candidate solution.
+
+    M u comes from ``apply_many``, not the solver's eigenbasis, so an error
+    in that basis shows here.
+    """
     garr = _normalize_forcing(problem, tgrid, forcing)
     dt = tgrid.dt
     den = problem.denominator_on_grid()
     eta = problem.eta_on_grid()
     uh = np.fft.fft(solution.values, axis=1)
-    a_diag = problem.operator.diagonalization()
-    if a_diag is not None:
-        fwd, inv, eigs = a_diag
-        uw = fwd(uh)
-        m_u = inv((den[:, None] * (eigs[None, :] + eta[:, None]))[None] * uw)
-    else:
-        a = problem.operator.as_dense()
-        m_u = np.einsum("ab,tjb->tja", a, uh) + eta[None, :, None] * uh
-        m_u = den[None, :, None] * m_u
-
+    a_u = problem.operator.apply_many(uh.reshape(-1, uh.shape[2])).reshape(uh.shape)
+    m_u = den[None, :, None] * (a_u + eta[None, :, None] * uh)
     interior = (
         -(uh[:-2] - 2.0 * uh[1:-1] + uh[2:]) / dt**2 + m_u[1:-1]
     )

@@ -1,9 +1,10 @@
 """Time stepping for the parabolic problem u_t + L u = f or F(u).
 
 The linear flow is exact per step: after FFT in x the system decouples into
-per-frequency matrix ODEs with matrix M_j = (mu_hat + nu)(A + eta(xi_j)),
-propagated by matrix exponentials (scaling-and-squaring at desk dimensions,
-scalar exponentials when the operator kind diagonalizes by fast transform).
+per-frequency matrix ODEs with matrix M_j = (mu_hat + nu)(A + eta(xi_j)).
+A commutes with eta(xi_j) I, so all frequencies share the eigenbasis of A and
+the flow is a scalar exponential per eigenvalue; a dense A without a
+well-conditioned eigenbasis falls back to one matrix exponential per frequency.
 Forcing is treated piecewise-constant per step (left endpoint).  Nonlinear
 terms use first-order exponential Lie splitting: an explicit Euler substep
 for F followed by the exact linear flow.  Semilinear runs halt early when
@@ -127,6 +128,7 @@ class _Propagator:
             self.p_fac = np.where(small, series, exact)
             self.fwd, self.inv = fwd, inv
         else:
+            # Fallback for a defective or ill-conditioned dense A.
             a = problem.operator.as_dense()
             d = a.shape[0]
             n = problem.grid.n

@@ -77,7 +77,8 @@ class Kernel:
         elif self.kind == "gaussian":
             out = c * np.sqrt(np.pi / k) * np.exp(-(xi * xi) / (4.0 * k)) + 0j
         else:
-            out = np.asarray(self.fourier_fn(xi), dtype=complex)
+            out = self.fourier_fn(xi)
+        out = np.asarray(out, dtype=complex)
         return out if out.shape else complex(out)
 
     def fourier_deriv(self, xi):

@@ -11,16 +11,19 @@ one shift per row, which is what the per-frequency solvers consume.
 from __future__ import annotations
 
 import csv
-import threading
+import functools
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from .errors import InvalidArgumentError, SingularResolventError
 from .symbols import Sector
 
 _SINGULAR_RCOND = 1e-300
+# Largest cond(V) of a dense A's eigenvectors that diagonalization() accepts:
+# transforms through V lose about cond(V) * eps (Moler & Van Loan, "Nineteen
+# dubious ways to compute the exponential of a matrix", SIAM Rev. 2003).
+EIGENBASIS_COND_LIMIT = 1e6
 
 
 class OperatorRealization:
@@ -58,10 +61,11 @@ class OperatorRealization:
         return np.linalg.eigvals(self.as_dense())
 
     def diagonalization(self):
-        """(forward, inverse, eigs) fast transforms, or None for dense kinds.
+        """(forward, inverse, eigs) transforms to the eigenbasis, or None.
 
         ``forward``/``inverse`` act along the last axis and conjugate the
-        operator to multiplication by ``eigs``.
+        operator to multiplication by ``eigs``.  None only for a dense A whose
+        eigenvectors fail the ``EIGENBASIS_COND_LIMIT`` guard.
         """
         return None
 
@@ -82,8 +86,6 @@ class DenseMatrixOperator(OperatorRealization):
             )
         self._m = m
         self._eigs = eigs
-        self._lu_cache = {}
-        self._lu_lock = threading.Lock()
 
     @classmethod
     def from_csv(cls, path):
@@ -106,22 +108,6 @@ class DenseMatrixOperator(OperatorRealization):
     def apply_many(self, rows):
         return np.asarray(rows, dtype=complex) @ self._m.T
 
-    def _lu(self, z):
-        key = complex(z)
-        with self._lu_lock:
-            hit = self._lu_cache.get(key)
-        if hit is not None:
-            return hit
-        shifted = self._m + key * np.eye(self.dim)
-        if np.linalg.cond(shifted) > 1.0 / _SINGULAR_RCOND:
-            raise SingularResolventError(f"A + z singular at z = {key}")
-        lu = scipy.linalg.lu_factor(shifted)
-        with self._lu_lock:
-            if len(self._lu_cache) > 256:
-                self._lu_cache.clear()
-            self._lu_cache[key] = lu
-        return lu
-
     def resolvent_solve_many(self, z_rows, w_rows):
         z_rows = np.asarray(z_rows, dtype=complex)
         w_rows = np.asarray(w_rows, dtype=complex)
@@ -138,6 +124,20 @@ class DenseMatrixOperator(OperatorRealization):
 
     def eigenvalues(self):
         return self._eigs.copy()
+
+    @functools.cached_property
+    def _eigenbasis(self):
+        """(eigs, V^T, V^{-T}) from one ``eig`` of A; None if cond(V) fails the guard."""
+        eigs, vecs = np.linalg.eig(self._m)
+        if not np.linalg.cond(vecs) <= EIGENBASIS_COND_LIMIT:
+            return None
+        return eigs, vecs.T, np.linalg.inv(vecs).T
+
+    def diagonalization(self):
+        if self._eigenbasis is None:
+            return None
+        eigs, vecs_t, inv_t = self._eigenbasis
+        return (lambda rows: rows @ inv_t), (lambda rows: rows @ vecs_t), eigs
 
 
 class PeriodicSturmLiouvilleOperator(OperatorRealization):

@@ -218,23 +218,32 @@ def test_zero_data_gives_zero_solution():
     assert np.max(np.abs(u.values)) < 1e-14
 
 
-def test_diagonalized_and_dense_paths_agree():
+def test_diagonalized_and_dense_paths_agree(monkeypatch):
+    """The structured FFT path, the dense eigenbasis path and the dense
+    block-solve fallback solve the same discrete system."""
     n_op = 6
     sl = PeriodicSturmLiouvilleOperator(b=1.0, n=n_op)
     dense = DenseMatrixOperator(sl.as_dense())
+    fallback = DenseMatrixOperator(sl.as_dense())
+    monkeypatch.setattr(fallback, "diagonalization", lambda: None)
     sym = SymbolSet(l=2, b=(0.0, 0.0, -1.0), nu=1.0)
     grid = Grid(half_width=8.0, n=32)
     rng = np.random.default_rng(14)
     f1 = Field(grid, rng.standard_normal((32, n_op)).astype(complex))
     f2 = Field(grid, rng.standard_normal((32, n_op)).astype(complex))
     tg = TGrid(1.0, 10)
+    forcing = rng.standard_normal((tg.m + 2, 32, n_op)).astype(complex)
     outs = []
-    for op in (sl, dense):
+    for op in (sl, dense, fallback):
         prob = DiscretizedProblem(sym, op, grid, p=2.0)
         prob.check_condition()
         bc = BoundaryConditions(1.0, 0.25, 0.5, 1.0, f1=f1, f2=f2)
-        outs.append(solve_bvp_linear(prob, bc, tg).values)
-    assert np.max(np.abs(outs[0] - outs[1])) < 1e-9
+        u = solve_bvp_linear(prob, bc, tg, forcing=forcing)
+        assert bvp_discrete_residual(prob, bc, tg, u, forcing=forcing) < 1e-10
+        outs.append(u.values)
+    assert dense.diagonalization() is not None
+    for other in outs[1:]:
+        assert np.max(np.abs(outs[0] - other)) < 1e-9
 
 
 def test_interior_bounded_by_boundary_for_homogeneous_problem():

@@ -252,6 +252,18 @@ def test_cli_exit_codes_for_failing_runs(tmp_path, capsys):
     assert main(["solve-elliptic", "--config", str(cfg3)]) == 3
 
 
+def test_cli_rbound_with_even_exponential_kernel(tmp_path, capsys):
+    # the rbound estimator evaluates the kernel transform at scalar xi
+    config = get_preset("example-4.3-rbound")
+    config["problem"]["symbols"]["a_kernels"]["2"]["kind"] = "exponential-standard"
+    config["rbound"].update(xi_samples=[0.1, 10.0], lambdas=[1.0, 100.0], trials=100)
+    cfg = tmp_path / "rbound.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["rbound", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["value"] >= printed["uniform_bound"] - 1e-12
+
+
 def test_cli_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

@@ -81,24 +81,31 @@ def test_linear_flow_matches_matrix_exponential_oracle():
     assert np.max(np.abs(state.final.values - oracle)) < 1e-10
 
 
-def test_diagonalized_and_dense_propagators_agree():
-    """The structured (eigenbasis) path and the dense block path integrate
-    the same flow."""
+def test_diagonalized_and_dense_propagators_agree(monkeypatch):
+    """The structured FFT path, the dense eigenbasis path and the dense
+    per-frequency expm fallback integrate the same flow."""
     n_op = 6
     sl = PeriodicSturmLiouvilleOperator(b=1.0, n=n_op)
     dense = DenseMatrixOperator(sl.as_dense())
+    fallback = DenseMatrixOperator(sl.as_dense())
+    monkeypatch.setattr(fallback, "diagonalization", lambda: None)
     sym = SymbolSet(l=2, b=(0.0, 0.0, -1.0), nu=1.0)
     grid = Grid(half_width=8.0, n=32)
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((32, n_op)) + 1j * rng.standard_normal((32, n_op))
+    forcing = rng.standard_normal((32, n_op)) + 1j * rng.standard_normal((32, n_op))
 
     finals = []
-    for op in (sl, dense):
+    for op in (sl, dense, fallback):
         prob = DiscretizedProblem(sym, op, grid, p=2.0)
         prob.check_condition()
-        state = solve_cauchy_linear(prob, Field(grid, vals), t_final=0.3, dt=0.01)
+        state = solve_cauchy_linear(
+            prob, Field(grid, vals), forcing=lambda t: forcing, t_final=0.3, dt=0.01
+        )
         finals.append(state.final.values)
-    assert np.max(np.abs(finals[0] - finals[1])) < 1e-10
+    assert dense.diagonalization() is not None
+    for other in finals[1:]:
+        assert np.max(np.abs(finals[0] - other)) < 1e-10
 
 
 def test_semigroup_property():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coesolve import Kernel, kernel_fourier, kernel_fourier_deriv
+from coesolve import KERNEL_KINDS, Kernel, kernel_fourier, kernel_fourier_deriv
 from coesolve.errors import InvalidArgumentError, UnsupportedKernelError
 
 # Frozen oracle values, computed once by adaptive quadrature of the defining
@@ -95,6 +95,26 @@ def test_scalar_input_gives_scalar_output():
     assert isinstance(ker.fourier_deriv(1.0), complex)
     arr = ker.fourier(np.array([1.0, 2.0]))
     assert arr.shape == (2,)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("amplitude", [1.0, 1.5 - 0.5j])
+def test_every_kind_accepts_scalar_and_array_xi(kind, amplitude):
+    ker = Kernel(
+        kind,
+        rate=0.7,
+        amplitude=amplitude,
+        fourier_fn=lambda xi: amplitude / (1.0 + xi**2),
+    )
+    xi = np.array([-2.0, 0.0, 0.5, 3.0])
+    for method in (ker.fourier, ker.fourier_deriv):
+        arr = method(xi)
+        assert isinstance(arr, np.ndarray) and arr.shape == xi.shape
+        for i, x in enumerate(xi):
+            val = method(float(x))
+            assert isinstance(val, complex)
+            # loose: the custom derivative differences amplify rounding
+            assert np.isclose(val, arr[i], rtol=1e-9, atol=1e-12)
 
 
 def test_fourier_at_infinity_limits():

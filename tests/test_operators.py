@@ -124,9 +124,30 @@ def test_diagonalization_round_trip():
         assert np.allclose(inv(eigs * fwd(v)), op.apply(v), atol=1e-9)
 
 
-def test_dense_operator_has_no_diagonalization():
-    op = DenseMatrixOperator(np.array([[1.0, 1.0], [0.0, 2.0]]))
-    assert op.diagonalization() is None
+def test_dense_diagonalization_of_non_normal_matrix():
+    rng = np.random.default_rng(11)
+    t = np.triu(rng.standard_normal((5, 5)), 1) + np.diag(
+        [1.0, 1.5 + 0.5j, 2.0 - 0.5j, 2.5, 3.0 + 1.0j]
+    )
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    op = DenseMatrixOperator(q @ t @ q.conj().T)
+    diag = op.diagonalization()
+    assert diag is not None
+    fwd, inv, eigs = diag
+    rows = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    assert np.allclose(inv(fwd(rows)), rows, rtol=0.0, atol=1e-12)
+    # forward conjugates A to multiplication by its eigenvalues
+    assert np.allclose(fwd(op.apply_many(rows)), eigs * fwd(rows), rtol=0.0, atol=1e-12)
+    assert np.allclose(np.sort_complex(eigs), np.sort_complex(op.eigenvalues()))
+    # the decomposition is computed once and shared by every caller
+    assert op.diagonalization()[2] is eigs
+
+
+def test_defective_dense_operator_has_no_diagonalization():
+    # a Jordan block has cond(V) ~ 1e16: no eigenbasis, the callers fall back
+    assert DenseMatrixOperator(np.array([[1.0, 1.0], [0.0, 1.0]])).diagonalization() is None
+    # distinct eigenvalues give a well-conditioned basis, non-normal or not
+    assert DenseMatrixOperator(np.array([[1.0, 1.0], [0.0, 2.0]])).diagonalization() is not None
 
 
 # ---------------------------------------------------------------------------
