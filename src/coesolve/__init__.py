@@ -27,7 +27,7 @@ from .errors import (
     SymbolBlowupError,
     UnsupportedKernelError,
 )
-from .kernels import KERNEL_KINDS, Kernel, kernel_fourier, kernel_fourier_deriv
+from .kernels import KERNEL_KINDS, Kernel
 from .symbols import (
     ConditionReport,
     MultiplierFamily,
@@ -116,8 +116,6 @@ __all__ = [
     "UnsupportedKernelError",
     "KERNEL_KINDS",
     "Kernel",
-    "kernel_fourier",
-    "kernel_fourier_deriv",
     "ConditionReport",
     "MultiplierFamily",
     "Sector",

@@ -20,7 +20,7 @@ import scipy.linalg
 from .errors import DegenerateBoundaryError, InvalidArgumentError
 from .evolution import Nonlinearity
 from .grids import Field, Grid
-from .output import write_csv
+from .output import field_table, write_csv
 from .solver import DiscretizedProblem
 
 DEGENERACY_FLOOR = 1e-12
@@ -100,18 +100,8 @@ class StripField:
         return out
 
     def to_csv(self, path):
-        header = ["t", "x"]
-        for d in range(self.dim):
-            header += [f"re_u{d}", f"im_u{d}"]
-        t, x = self.tgrid.t, self.grid.x
-        rows = []
-        for i in range(self.values.shape[0]):
-            for j in range(self.grid.n):
-                row = [t[i], x[j]]
-                for d in range(self.dim):
-                    row += [self.values[i, j, d].real, self.values[i, j, d].imag]
-                rows.append(row)
-        write_csv(path, header, rows)
+        """Rows (t, x, re/im per component) over the whole strip."""
+        write_csv(path, *field_table(self.grid.x, self.values, self.tgrid.t))
 
 
 def _normalize_forcing(problem, tgrid, forcing) -> Optional[np.ndarray]:

@@ -24,7 +24,7 @@ import scipy.linalg
 from .errors import BlowUpError, InvalidArgumentError
 from .grids import Field, spectral_derivative
 from .norms import lp_norm
-from .output import write_csv
+from .output import field_table, write_csv
 from .solver import DiscretizedProblem
 
 DEFAULT_BLOWUP_THRESHOLD = 1e8
@@ -178,19 +178,7 @@ class CauchyState:
 
     def to_csv(self, path):
         """Rows (t, x, re/im per component) for every stored snapshot."""
-        dim = self.snapshots[0].shape[1]
-        header = ["t", "x"]
-        for d in range(dim):
-            header += [f"re_u{d}", f"im_u{d}"]
-        x = self.problem.grid.x
-        rows = []
-        for t, snap in zip(self.times, self.snapshots):
-            for i in range(self.problem.grid.n):
-                row = [t, x[i]]
-                for d in range(dim):
-                    row += [snap[i, d].real, snap[i, d].imag]
-                rows.append(row)
-        write_csv(path, header, rows)
+        write_csv(path, *field_table(self.problem.grid.x, np.stack(self.snapshots), self.times))
 
 
 @dataclass
@@ -215,6 +203,16 @@ class MaximalSolutionReport:
         }
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of dt steps from 0 to t_final, which must be a multiple of dt."""
+    if not (dt > 0 and t_final > 0):
+        raise InvalidArgumentError("dt and t_final must be positive")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise InvalidArgumentError("t_final must be an integer multiple of dt")
+    return n_steps
+
+
 def _sup_norm(values) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
@@ -235,12 +233,8 @@ def solve_cauchy_linear(
     """
     problem.require_checked()
     problem.validate_field(u0)
-    if dt <= 0 or t_final <= 0:
-        raise InvalidArgumentError("dt and t_final must be positive")
+    n_steps = step_count(t_final, dt)
     prop = _Propagator(problem, dt)
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise InvalidArgumentError("t_final must be an integer multiple of dt")
     values = u0.values.copy()
     times, snaps = [0.0], [values.copy()]
     t = 0.0
@@ -281,11 +275,9 @@ def solve_cauchy_semilinear(
     """
     problem.require_checked()
     problem.validate_field(u0)
-    if dt <= 0 or t_final <= 0:
-        raise InvalidArgumentError("dt and t_final must be positive")
+    n_steps = step_count(t_final, dt)
     prop = _Propagator(problem, dt)
     half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0)
-    n_steps = int(round(t_final / dt))
 
     def advance(values, stepper, step_dt):
         if nonlinearity.is_zero:

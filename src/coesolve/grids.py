@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .output import write_csv
+from .output import field_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,7 @@ class Field:
 
     def to_csv(self, path):
         """Columns: x, then re/im per component."""
-        header = ["x"]
-        for d in range(self.dim):
-            header += [f"re_u{d}", f"im_u{d}"]
-        rows = []
-        x = self.grid.x
-        for i in range(self.grid.n):
-            row = [x[i]]
-            for d in range(self.dim):
-                row += [self.values[i, d].real, self.values[i, d].imag]
-            rows.append(row)
-        write_csv(path, header, rows)
+        write_csv(path, *field_table(self.grid.x, self.values))
 
 
 def spectral_derivative(field: Field, order: int) -> Field:

@@ -113,13 +113,3 @@ class Kernel:
         if self.kind in ("exponential-paper", "exponential-standard", "gaussian"):
             return 0.0 + 0.0j
         return None
-
-
-def kernel_fourier(kernel: Kernel, xi):
-    """Fourier transform of a kernel at xi (scalar or array)."""
-    return kernel.fourier(xi)
-
-
-def kernel_fourier_deriv(kernel: Kernel, xi):
-    """xi-derivative of the kernel transform at xi (scalar or array)."""
-    return kernel.fourier_deriv(xi)

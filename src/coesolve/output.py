@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def fmt_float(x: float) -> str:
     x = float(x)
@@ -72,9 +74,30 @@ def write_json(path, obj):
         fh.write(to_json_text(obj))
 
 
-def write_csv(path, header, rows):
-    """Write rows of floats under a fixed header, %.17g formatted."""
+def field_table(x, values, t=None):
+    """Header and rows of sampled fields: [t,] x, then re_u{d}, im_u{d} per component.
+
+    ``values`` has shape (n, dim) at the points ``x``, or (len(t), n, dim)
+    with times ``t``; rows run over x fastest.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    dim = values.shape[-1]
+    rows = values.size // dim
+    cols = [np.tile(x, rows // len(x)), values.view(float).reshape(rows, 2 * dim)]
+    header = ["x"] + [f"{part}_u{d}" for d in range(dim) for part in ("re", "im")]
+    if t is not None:
+        cols.insert(0, np.repeat(t, len(x)))
+        header.insert(0, "t")
+    return header, np.column_stack(cols)
+
+
+def write_csv(path, header, table):
+    """Write a 2-D float table under a fixed header, %.17g formatted."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+        # Row by row: formatting the whole table at once is no faster and
+        # holds every line in memory.
+        for row in table:
+            fh.write(line % tuple(row.tolist()))

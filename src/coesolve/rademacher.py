@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidArgumentError
+from .symbols import reduced_symbol
 
 EXHAUSTIVE_LIMIT = 4096
 
@@ -188,8 +189,6 @@ def scaled_resolvent_rbound(
     (A + eta(xi) + lambda)^{-1} as dense matrices over the sample product
     and estimates the family R_p-bound; also reports the uniform norm bound.
     """
-    from .symbols import reduced_symbol  # local import to avoid a cycle
-
     xi_samples = np.atleast_1d(np.asarray(xi_samples, dtype=float))
     lambda_samples = np.atleast_1d(np.asarray(lambda_samples, dtype=complex))
     if xi_samples.size == 0 or lambda_samples.size == 0:

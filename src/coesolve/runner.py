@@ -18,29 +18,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bvp import BoundaryConditions, TGrid, bvp_discrete_residual, solve_bvp_linear, solve_bvp_semilinear
-from .config import (
-    build_field,
-    build_nonlinearity,
-    build_sector,
-    build_problem,
-    validate_config,
+from .bvp import (
+    BoundaryConditions, TGrid, bvp_discrete_residual, solve_bvp_linear, solve_bvp_semilinear,
 )
-from .errors import ConfigError
-from .evolution import (
-    DEFAULT_BLOWUP_THRESHOLD,
-    DEFAULT_STEP_TOL,
-    solve_cauchy_linear,
-    solve_cauchy_semilinear,
-)
-from .grids import Field
-from .norms import (
-    besov_norm,
-    lp_norm,
-    mixed_norm,
-    sobolev_norm,
-    trace_space_norms,
-)
+from .config import build_field, build_problem, parse_run, validate_config
+from .evolution import solve_cauchy_linear, solve_cauchy_semilinear
+from .norms import besov_norm, lp_norm, mixed_norm, sobolev_norm, trace_space_norms
 from .rademacher import scaled_resolvent_rbound
 from .solver import apply_operator, lambda_sweep, solve_linear
 from .symbols import MultiplierFamily, make_xi_grid, mikhlin_bound
@@ -52,23 +35,6 @@ def _config_hash(config) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cnum(v):
-    # validated already; accept number or [re, im]
-    return complex(v) if isinstance(v, (int, float)) else complex(v[0], v[1])
-
-
-def _time_profile(spec, path):
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        return lambda t, t_final=None: 1.0
-    if kind == "exp-decay":
-        rate = float(spec.get("rate", 1.0))
-        return lambda t, t_final=None: float(np.exp(-rate * t))
-    if kind == "sin-pi":
-        return lambda t, t_final: float(np.sin(np.pi * t / t_final))
-    raise ConfigError(f"unknown time profile {kind!r}", path)
-
-
 class RunResult:
     def __init__(self, scenario, summary, files, exit_code=0):
         self.scenario = scenario
@@ -77,250 +43,226 @@ class RunResult:
         self.exit_code = exit_code
 
 
+class _Run:
+    """What a scenario handler works on: the problem, the run's RNG, the outputs."""
+
+    def __init__(self, problem, rng, seed, out, summary):
+        self.problem = problem
+        self.rng = rng
+        self.seed = seed
+        self.out = out
+        self.summary = summary
+        self.files = {}
+
+    def field(self, parsed):
+        """Sample a field spec parsed by the section schema."""
+        return build_field(*parsed, self.problem.grid, self.problem.operator, self.rng)
+
+    def forcing(self, section):
+        """The section's forcing as a function of t, or None."""
+        if section["forcing"] is None:
+            return None
+        space = self.field(section["forcing"]["space"])
+        profile, t_final = section["forcing"]["time"], section["t_final"]
+        return lambda t: space.values * profile(t, t_final)
+
+    def emit(self, name, result):
+        """Write ``result`` to ``name``: a dict as JSON, anything else by its to_csv."""
+        if self.out is None:
+            return
+        path = self.out / name
+        if isinstance(result, dict):
+            write_json(path, result)
+        else:
+            result.to_csv(path)
+        self.files[name] = str(path)
+
+
+# ---------------------------------------------------------------------------
+# scenario handlers: (run, typed section) -> exit code or None
+# ---------------------------------------------------------------------------
+
+
+def _check_condition(run, s):
+    report = run.problem.check_condition(
+        xi_grid=make_xi_grid(per_side=s["xi_points_per_side"]),
+        lambda_sector=s["sector_angle"],
+    )
+    run.summary.update(report.to_dict())
+    run.emit("condition_report.json", report.to_dict())
+    return 0 if report.all_pass else 4
+
+
+def _solve_linear(run, s):
+    problem, lam = run.problem, s["lambda"]
+    f = run.field(s["forcing"])
+    u = solve_linear(problem, f, lam)
+    residual = apply_operator(problem, u, lam).values - f.values
+    run.summary.update(
+        {
+            "lambda": lam,
+            "u_lp": lp_norm(u, problem.p),
+            "f_lp": lp_norm(f, problem.p),
+            "residual_sup": float(np.max(np.abs(residual))),
+        }
+    )
+    run.emit("solution.csv", u)
+    run.emit("summary.json", run.summary)
+
+
+def _lambda_sweep(run, s):
+    table = lambda_sweep(run.problem, run.field(s["forcing"]), s["lambdas"])
+    run.summary.update(
+        {
+            "max_resolvent_value": table.max_resolvent_value,
+            "ratio_spread": table.ratio_spread,
+            "rows": len(table.rows),
+        }
+    )
+    run.emit("sweep.csv", table)
+    run.emit("summary.json", run.summary)
+
+
+def _mikhlin(run, s):
+    lambdas, grid = s["lambdas"], make_xi_grid()
+    bounds = {}
+    for index in s["families"]:
+        fams = {lam: MultiplierFamily(run.problem.symbols, index, lam) for lam in lambdas}
+        bounds[str(index)] = mikhlin_bound(
+            lambda lam, xi: fams[lam].scalar_symbol(xi), lambdas, grid
+        )
+    run.summary["bounds"] = bounds
+    run.emit("mikhlin.json", run.summary)
+
+
+def _rbound(run, s):
+    estimate, uniform = scaled_resolvent_rbound(
+        run.problem, s["xi_samples"], s["lambdas"], p=run.problem.p, trials=s["trials"],
+        seed=run.seed,
+    )
+    run.summary.update(estimate.to_dict())
+    run.summary["uniform_bound"] = uniform
+    run.emit("rbound.json", run.summary)
+
+
+def _solve_parabolic(run, s):
+    problem = run.problem
+    u0 = run.field(s["initial"])
+    if s["nonlinearity"] is not None:
+        state, report = solve_cauchy_semilinear(
+            problem, u0, s["nonlinearity"], t_final=s["t_final"], dt=s["dt"],
+            blowup_threshold=s["blowup_threshold"], step_tol=s["step_tol"],
+            store_every=s["store_every"],
+        )
+        run.summary.update(report.to_dict())
+        run.emit("report.json", report.to_dict())
+    else:
+        state = solve_cauchy_linear(
+            problem, u0, forcing=run.forcing(s), t_final=s["t_final"], dt=s["dt"],
+            store_every=s["store_every"],
+        )
+        final = state.final
+        report = {"completed": True, "t_max": state.t, "final_norms": {
+            "u_lp": lp_norm(final, problem.p), "u_sup": float(np.max(np.abs(final.values))),
+        }}
+        run.summary.update(report)
+        run.emit("report.json", report)
+    run.emit("trajectory.csv", state)
+
+
+def _solve_elliptic(run, s):
+    problem, b = run.problem, s["bc"]
+    tgrid = TGrid(t_final=s["t_final"], m=s["m"])
+    bc = BoundaryConditions(**{**b, "f1": run.field(b["f1"]), "f2": run.field(b["f2"])})
+    if s["nonlinearity"] is not None:
+        u, report = solve_bvp_semilinear(
+            problem, bc, tgrid, s["nonlinearity"], max_iter=s["max_iter"], tol=s["tol"],
+            max_t_halvings=s["max_t_halvings"],
+        )
+        run.summary.update(report.to_dict())
+        run.emit("iterations.json", report.to_dict())
+    else:
+        forcing = run.forcing(s)
+        u = solve_bvp_linear(problem, bc, tgrid, forcing=forcing)
+        residual = bvp_discrete_residual(problem, bc, tgrid, u, forcing=forcing)
+        run.summary["residual"] = residual
+        run.emit("iterations.json", {"converged": True, "iterations": 0, "residual": residual})
+    run.summary["u_sup"] = float(np.max(np.abs(u.values)))
+    run.emit("solution.csv", u)
+
+
+def _sobolev_norms(field, e, problem):
+    l = problem.symbols.l if e["l"] is None else e["l"]
+    return {f"sobolev_l{l}_p{e['p']:g}": sobolev_norm(field, l, e["p"], problem.operator)}
+
+
+def _trace_norms(field, e, problem):
+    l = max(problem.symbols.l, 1) if e["l"] is None else e["l"]
+    x0, x1 = trace_space_norms(field, field, l, e["p"], e["q"], problem.operator)
+    tag = f"l{l}_p{e['p']:g}_q{e['q']:g}"
+    return {f"trace_x0_{tag}": x0, f"trace_x1_{tag}": x1}
+
+
+def _mixed_norm(field, e, problem):
+    points = e["time_points"]
+    t = (np.arange(points) + 0.5) / points
+    strip = t[:, None, None] * field.values[None, :, :]
+    value = mixed_norm(strip, e["p"], e["q"], 1.0 / points, field.grid.h)
+    return {f"mixed_p{e['p']:g}_q{e['q']:g}": value}
+
+
+# Norm kind -> (field, typed entry, problem) -> {reported name: value}.
+# An entry without l takes the problem's order (at least 1 for trace).
+_NORMS = {
+    "lp": lambda field, e, problem: {f"lp_p{e['p']:g}": lp_norm(field, e["p"])},
+    "sobolev": _sobolev_norms,
+    "besov": lambda field, e, problem: {
+        f"besov_s{e['s']:g}_q{e['q']:g}_p{e['p']:g}": besov_norm(field, e["s"], e["q"], e["p"])
+    },
+    "trace": _trace_norms,
+    "mixed": _mixed_norm,
+}
+
+
+def _norms_report(run, s):
+    field = run.field(s["field"])
+    values = {}
+    for entry in s["norms"]:
+        values.update(_NORMS[entry["kind"]](field, entry, run.problem))
+    run.summary["norms"] = values
+    run.emit("norms.json", run.summary)
+
+
+# Scenario name -> handler; the names and their section schemas are config.SECTIONS.
+HANDLERS = {
+    "check-condition": _check_condition,
+    "solve-linear": _solve_linear,
+    "lambda-sweep": _lambda_sweep,
+    "mikhlin": _mikhlin,
+    "rbound": _rbound,
+    "solve-parabolic": _solve_parabolic,
+    "solve-elliptic": _solve_elliptic,
+    "norms-report": _norms_report,
+}
+
+
 def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> RunResult:
     """Validate, execute and (optionally) persist one scenario run."""
     validate_config(config)
+    section, run_seed = parse_run(config, seed)
     scenario = config["scenario"]
-    run_seed = int(config.get("seed", 0) if seed is None else seed)
     rng = np.random.default_rng(run_seed)
     started = time.monotonic()
 
     problem = build_problem(config["problem"], "problem")
-    section = config.get(scenario, {}) or {}
-
-    files = {}
-    summary = {"scenario": scenario, "seed": run_seed}
-    exit_code = 0
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-
-    def emit_json(name, payload):
-        if out is not None:
-            write_json(out / name, payload)
-            files[name] = str(out / name)
-
-    if scenario == "check-condition":
-        sector = build_sector(
-            section.get("sector_angle", np.pi / 2), "check-condition.sector_angle"
-        )
-        per_side = int(section.get("xi_points_per_side", 1200))
-        report = problem.check_condition(
-            xi_grid=make_xi_grid(per_side=per_side), lambda_sector=sector
-        )
-        summary.update(report.to_dict())
-        emit_json("condition_report.json", report.to_dict())
-        if not report.all_pass:
-            exit_code = 4
-    else:
-        problem.check_condition()  # solves below are gated on this
-        if scenario == "solve-linear":
-            lam = _cnum(section.get("lambda", 0.0))
-            f = build_field(section["forcing"], "solve-linear.forcing",
-                            problem.grid, problem.operator, rng)
-            u = solve_linear(problem, f, lam)
-            residual = apply_operator(problem, u, lam).values - f.values
-            summary.update(
-                {
-                    "lambda": lam,
-                    "u_lp": lp_norm(u, problem.p),
-                    "f_lp": lp_norm(f, problem.p),
-                    "residual_sup": float(np.max(np.abs(residual))),
-                }
-            )
-            if out is not None:
-                u.to_csv(out / "solution.csv")
-                files["solution.csv"] = str(out / "solution.csv")
-            emit_json("summary.json", summary)
-        elif scenario == "lambda-sweep":
-            lambdas = [_cnum(v) for v in section["lambdas"]]
-            f = build_field(section["forcing"], "lambda-sweep.forcing",
-                            problem.grid, problem.operator, rng)
-            table = lambda_sweep(problem, f, lambdas)
-            summary.update(
-                {
-                    "max_resolvent_value": table.max_resolvent_value,
-                    "ratio_spread": table.ratio_spread,
-                    "rows": len(table.rows),
-                }
-            )
-            if out is not None:
-                table.to_csv(out / "sweep.csv")
-                files["sweep.csv"] = str(out / "sweep.csv")
-            emit_json("summary.json", summary)
-        elif scenario == "mikhlin":
-            lambdas = [_cnum(v) for v in section["lambdas"]]
-            families = section.get("families", [0, 1, 2, 3, 4, "sigma"])
-            grid = make_xi_grid()
-            bounds = {}
-            for index in families:
-                fams = {
-                    lam: MultiplierFamily(problem.symbols, index, lam) for lam in lambdas
-                }
-                bound = mikhlin_bound(
-                    lambda lam, xi: fams[lam].scalar_symbol(xi), lambdas, grid
-                )
-                bounds[str(index)] = bound
-            summary["bounds"] = bounds
-            emit_json("mikhlin.json", summary)
-        elif scenario == "rbound":
-            xi_samples = [float(v) for v in section["xi_samples"]]
-            lambdas = [_cnum(v) for v in section["lambdas"]]
-            trials = int(section.get("trials", 200))
-            estimate, uniform = scaled_resolvent_rbound(
-                problem, xi_samples, lambdas, p=problem.p, trials=trials, seed=run_seed
-            )
-            summary.update(estimate.to_dict())
-            summary["uniform_bound"] = uniform
-            emit_json("rbound.json", summary)
-        elif scenario == "solve-parabolic":
-            t_final = float(section["t_final"])
-            dt = float(section["dt"])
-            u0 = build_field(section["initial"], "solve-parabolic.initial",
-                             problem.grid, problem.operator, rng)
-            store_every = int(section.get("store_every", 0))
-            nl_spec = section.get("nonlinearity")
-            if nl_spec is not None and nl_spec.get("kind") != "none":
-                if section.get("forcing") is not None:
-                    raise ConfigError(
-                        "semilinear runs take no forcing",
-                        "solve-parabolic.forcing",
-                    )
-                nl = build_nonlinearity(nl_spec, "solve-parabolic.nonlinearity")
-                state, report = solve_cauchy_semilinear(
-                    problem,
-                    u0,
-                    nl,
-                    t_final=t_final,
-                    dt=dt,
-                    blowup_threshold=float(
-                        section.get("blowup_threshold", DEFAULT_BLOWUP_THRESHOLD)
-                    ),
-                    step_tol=float(section.get("step_tol", DEFAULT_STEP_TOL)),
-                    store_every=store_every,
-                )
-                summary.update(report.to_dict())
-                emit_json("report.json", report.to_dict())
-            else:
-                forcing = None
-                fs = section.get("forcing")
-                if fs is not None:
-                    space = build_field(fs.get("space", {"type": "zero"}),
-                                        "solve-parabolic.forcing.space",
-                                        problem.grid, problem.operator, rng)
-                    prof = _time_profile(fs.get("time", {}), "solve-parabolic.forcing.time")
-                    forcing = lambda t: space.values * prof(t, t_final)
-                state = solve_cauchy_linear(
-                    problem, u0, forcing=forcing, t_final=t_final, dt=dt,
-                    store_every=store_every,
-                )
-                final = state.final
-                summary.update(
-                    {
-                        "completed": True,
-                        "t_max": state.t,
-                        "final_norms": {
-                            "u_lp": lp_norm(final, problem.p),
-                            "u_sup": float(np.max(np.abs(final.values))),
-                        },
-                    }
-                )
-                emit_json("report.json", {k: summary[k] for k in
-                                          ("completed", "t_max", "final_norms")})
-            if out is not None:
-                state.to_csv(out / "trajectory.csv")
-                files["trajectory.csv"] = str(out / "trajectory.csv")
-        elif scenario == "solve-elliptic":
-            t_final = float(section["t_final"])
-            tgrid = TGrid(t_final=t_final, m=int(section["m"]))
-            bc_spec = section["bc"]
-            from .config import _check_keys  # reuse strict walker
-
-            _check_keys(
-                bc_spec,
-                "solve-elliptic.bc",
-                required=("alpha1", "beta1", "alpha2", "beta2", "f1", "f2"),
-            )
-            bc = BoundaryConditions(
-                alpha1=_cnum(bc_spec["alpha1"]),
-                beta1=_cnum(bc_spec["beta1"]),
-                alpha2=_cnum(bc_spec["alpha2"]),
-                beta2=_cnum(bc_spec["beta2"]),
-                f1=build_field(bc_spec["f1"], "solve-elliptic.bc.f1",
-                               problem.grid, problem.operator, rng),
-                f2=build_field(bc_spec["f2"], "solve-elliptic.bc.f2",
-                               problem.grid, problem.operator, rng),
-            )
-            nl_spec = section.get("nonlinearity")
-            if nl_spec is not None and nl_spec.get("kind") != "none":
-                nl = build_nonlinearity(nl_spec, "solve-elliptic.nonlinearity")
-                u, report = solve_bvp_semilinear(
-                    problem,
-                    bc,
-                    tgrid,
-                    nl,
-                    max_iter=int(section.get("max_iter", 30)),
-                    tol=float(section.get("tol", 1e-8)),
-                    max_t_halvings=int(section.get("max_t_halvings", 0)),
-                )
-                summary.update(report.to_dict())
-                emit_json("iterations.json", report.to_dict())
-            else:
-                forcing = None
-                fs = section.get("forcing")
-                if fs is not None:
-                    space = build_field(fs.get("space", {"type": "zero"}),
-                                        "solve-elliptic.forcing.space",
-                                        problem.grid, problem.operator, rng)
-                    prof = _time_profile(fs.get("time", {}), "solve-elliptic.forcing.time")
-                    forcing = np.stack(
-                        [space.values * prof(float(t), t_final) for t in tgrid.t]
-                    )
-                u = solve_bvp_linear(problem, bc, tgrid, forcing=forcing)
-                summary["residual"] = bvp_discrete_residual(
-                    problem, bc, tgrid, u, forcing=forcing
-                )
-                emit_json("iterations.json", {"converged": True, "iterations": 0,
-                                              "residual": summary["residual"]})
-            summary["u_sup"] = float(np.max(np.abs(u.values)))
-            if out is not None:
-                u.to_csv(out / "solution.csv")
-                files["solution.csv"] = str(out / "solution.csv")
-        elif scenario == "norms-report":
-            field = build_field(section["field"], "norms-report.field",
-                                problem.grid, problem.operator, rng)
-            values = {}
-            for i, entry in enumerate(section["norms"]):
-                path = f"norms-report.norms[{i}]"
-                kind = entry.get("kind")
-                p = float(entry.get("p", 2.0))
-                q = float(entry.get("q", 2.0))
-                if kind == "lp":
-                    values[f"lp_p{p:g}"] = lp_norm(field, p)
-                elif kind == "sobolev":
-                    l = int(entry.get("l", problem.symbols.l))
-                    values[f"sobolev_l{l}_p{p:g}"] = sobolev_norm(
-                        field, l, p, problem.operator
-                    )
-                elif kind == "besov":
-                    s = float(entry.get("s", 1.0))
-                    values[f"besov_s{s:g}_q{q:g}_p{p:g}"] = besov_norm(field, s, q, p)
-                elif kind == "trace":
-                    l = int(entry.get("l", max(problem.symbols.l, 1)))
-                    x0, x1 = trace_space_norms(field, field, l, p, q, problem.operator)
-                    values[f"trace_x0_l{l}_p{p:g}_q{q:g}"] = x0
-                    values[f"trace_x1_l{l}_p{p:g}_q{q:g}"] = x1
-                elif kind == "mixed":
-                    points = int(entry.get("time_points", 64))
-                    t = (np.arange(points) + 0.5) / points
-                    strip = t[:, None, None] * field.values[None, :, :]
-                    values[f"mixed_p{p:g}_q{q:g}"] = mixed_norm(
-                        strip, p, q, 1.0 / points, field.grid.h
-                    )
-                else:
-                    raise ConfigError(f"unknown norm kind {kind!r}", f"{path}.kind")
-            summary["norms"] = values
-            emit_json("norms.json", summary)
+    run = _Run(problem, rng, run_seed, out, {"scenario": scenario, "seed": run_seed})
+    if scenario != "check-condition":
+        problem.check_condition()  # every solve and estimate is gated on this
+    exit_code = HANDLERS[scenario](run, section) or 0
+    files = run.files
 
     elapsed = time.monotonic() - started
     if out is not None:
@@ -340,4 +282,4 @@ def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> Run
         }
         write_json(out / "manifest.json", manifest)
         files["manifest.json"] = str(out / "manifest.json")
-    return RunResult(scenario, summary, files, exit_code)
+    return RunResult(scenario, run.summary, files, exit_code)

@@ -212,14 +212,13 @@ class SweepTable:
         return cols
 
     def to_csv(self, path):
-        out = []
-        for r in self.rows:
-            row = [r["lambda"].real, r["lambda"].imag]
-            row += r["derivative_terms"]
-            row += r["convolution_terms"]
-            row += [r["mu_conv_term"], r["au_term"], r["ratio"], r["resolvent_value"]]
-            out.append(row)
-        write_csv(path, self.header(), out)
+        table = [
+            [r["lambda"].real, r["lambda"].imag, *r["derivative_terms"],
+             *r["convolution_terms"], r["mu_conv_term"], r["au_term"], r["ratio"],
+             r["resolvent_value"]]
+            for r in self.rows
+        ]
+        write_csv(path, self.header(), np.array(table))
 
     @property
     def max_resolvent_value(self) -> float:

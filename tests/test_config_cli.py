@@ -9,8 +9,10 @@ import pytest
 
 from coesolve import run_scenario, validate_config
 from coesolve.cli import main
+from coesolve.config import SCENARIOS
 from coesolve.errors import ConfigError
 from coesolve.presets import get_preset, preset_names
+from coesolve.runner import HANDLERS
 
 
 def _read(path):
@@ -87,6 +89,82 @@ def test_problem_is_structurally_validated():
     config["problem"]["symbols"]["b"] = [0.0, 0.0]  # needs l + 1 = 3 entries
     with pytest.raises(ConfigError):
         validate_config(config)
+
+
+def test_config_error_path_is_the_innermost_key():
+    cases = [
+        (("problem", "grid", "n"), "x", "problem.grid.n", "expected an integer"),
+        (("problem", "grid", "n"), 3, "problem.grid", "n must be a power of two >= 2"),
+        (("problem", "symbols", "b"), [0.0, 0.0], "problem.symbols",
+         "need exactly l + 1 coefficients b_0 .. b_l"),
+        (("check-condition", "sector_angle"), "x", "check-condition.sector_angle",
+         "expected a finite number"),
+        (("check-condition", "sector_angle"), 4.0, "check-condition.sector_angle",
+         "sector angle must lie in [0, pi)"),
+    ]
+    for keys, value, path, message in cases:
+        config = get_preset("example-4.3-condition")
+        _set(config, keys, value)
+        with pytest.raises(ConfigError) as info:
+            validate_config(config)
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+
+
+def _set(config, keys, value):
+    for key in keys[:-1]:
+        config = config[key]
+    config[keys[-1]] = value
+
+
+# One edit of a preset each; every one is a config error (exit 2) whose
+# message names the innermost dotted path.
+BAD_EDITS = [
+    ("example-4.3", ("solve-parabolic", "dt"), "abc", "solve-parabolic.dt"),
+    ("example-4.3", ("solve-parabolic", "dt"), -0.1, "solve-parabolic.dt"),
+    ("example-4.3", ("solve-parabolic", "store_every"), "x", "solve-parabolic.store_every"),
+    ("blowup-ode", ("solve-parabolic", "blowup_threshold"), [1],
+     "solve-parabolic.blowup_threshold"),
+    ("example-4.3", ("solve-parabolic", "nonlinearity"), "cubic",
+     "solve-parabolic.nonlinearity"),
+    ("example-4.3", ("solve-parabolic", "forcing"), {"spcae": {"type": "zero"}},
+     "solve-parabolic.forcing.spcae"),
+    ("example-4.3", ("solve-parabolic", "forcing"), {"time": {"rtae": 1.0}},
+     "solve-parabolic.forcing.time.rtae"),
+    ("example-4.4", ("solve-parabolic", "t_final"), 0.505, "solve-parabolic.t_final"),
+    ("problem-3.7", ("solve-linear", "lambda"), "abc", "solve-linear.lambda"),
+    ("problem-3.7", ("solve-linear", "lambda"), [1, 2, 3], "solve-linear.lambda"),
+    ("example-4.3-sweep", ("lambda-sweep", "lambdas"), "abc", "lambda-sweep.lambdas"),
+    ("example-4.3-rbound", ("rbound", "trials"), "x", "rbound.trials"),
+    ("example-4.3-rbound", ("rbound", "xi_samples"), 3, "rbound.xi_samples"),
+    ("example-4.3-condition", ("check-condition", "xi_points_per_side"), "x",
+     "check-condition.xi_points_per_side"),
+    ("problem-4.6", ("solve-elliptic", "m"), "x", "solve-elliptic.m"),
+    ("norms-gaussian", ("norms-report", "norms"), "abc", "norms-report.norms"),
+    ("norms-gaussian", ("norms-report", "norms", 0, "p"), "x", "norms-report.norms[0].p"),
+    ("norms-gaussian", ("norms-report", "norms", 0), {"kind": "lp", "zz": 1},
+     "norms-report.norms[0].zz"),
+    ("example-4.3", ("problem", "symbols", "a_kernels"), "x", "problem.symbols.a_kernels"),
+    ("example-4.3", ("seed",), -1, "seed"),
+    ("example-4.3", ("solve-parabolic", "dt"), float("nan"), "solve-parabolic.dt"),
+    ("example-4.3", ("problem", "grid", "half_width"), 10**400, "problem.grid.half_width"),
+    ("example-4.3-condition", ("problem", "operator"), {"kind": "dense-matrix", "csv": "no.csv"},
+     "problem.operator"),
+]
+
+
+@pytest.mark.parametrize("preset, keys, value, path", BAD_EDITS)
+def test_bad_value_is_a_config_error_naming_its_path(preset, keys, value, path, tmp_path, capsys):
+    config = get_preset(preset)
+    _set(config, keys, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([config["scenario"], "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+def test_every_scenario_has_a_handler():
+    assert tuple(HANDLERS) == SCENARIOS
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,9 @@ def test_t_final_must_be_a_step_multiple():
         solve_cauchy_linear(prob, u0, t_final=0.25, dt=0.1)
     with pytest.raises(InvalidArgumentError):
         solve_cauchy_linear(prob, u0, t_final=1.0, dt=-0.1)
+    # the semilinear solver takes the same rule instead of rounding the step count
+    with pytest.raises(InvalidArgumentError, match="multiple"):
+        solve_cauchy_semilinear(prob, u0, square_nonlinearity(), t_final=0.505, dt=0.01)
 
 
 # ---------------------------------------------------------------------------

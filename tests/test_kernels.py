@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coesolve import KERNEL_KINDS, Kernel, kernel_fourier, kernel_fourier_deriv
+from coesolve import KERNEL_KINDS, Kernel
 from coesolve.errors import InvalidArgumentError, UnsupportedKernelError
 
 # Frozen oracle values, computed once by adaptive quadrature of the defining
@@ -21,6 +21,8 @@ def test_exponential_standard_matches_quadrature():
     val = ker.fourier(1.0)
     assert abs(val - QUAD_STD_XI1) < 1e-9
     assert abs(val.imag) < 1e-12
+    # 2k / (k^2 + xi^2) at xi = 0, k = 2
+    assert Kernel("exponential-standard", rate=2.0).fourier(0.0) == 1.0
 
 
 def test_exponential_paper_matches_quadrature():
@@ -123,12 +125,6 @@ def test_fourier_at_infinity_limits():
     assert Kernel("gaussian").fourier_at_infinity() == 0
     custom = Kernel("custom-closed-form", fourier_fn=lambda xi: 0 * xi)
     assert custom.fourier_at_infinity() is None
-
-
-def test_module_level_helpers_delegate():
-    ker = Kernel("exponential-standard", rate=2.0)
-    assert kernel_fourier(ker, 0.0) == 1.0
-    assert abs(kernel_fourier_deriv(ker, 1.0) - ker.fourier_deriv(1.0)) == 0
 
 
 def test_unknown_kind_rejected():
