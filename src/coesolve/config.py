@@ -5,7 +5,9 @@ scenario section, is read through one schema: a table giving each key its
 type (number, integer, complex, a nonempty list of those, or a nested
 object) and its default, or marking it REQUIRED.  Unknown keys, wrong types
 and broken cross-key rules raise ``ConfigError`` naming the innermost dotted
-path of the offender.  Complex scalars are plain numbers or [re, im] pairs;
+path of the offender, and so do the range limits the library would reject
+later (``m >= 1``, ``trials >= 100``, ``xi_points_per_side >= 2``,
+``max_mode`` below half the grid).  Complex scalars are plain numbers or [re, im] pairs;
 a null value counts as absent.  Randomized constructs (band-limited fields,
 R-bound trials) draw from a generator seeded by the run seed only.
 """
@@ -272,6 +274,8 @@ def build_field(spec, path, grid: Grid, operator: OperatorRealization, rng) -> F
     if ftype == "gaussian":
         c, s = spec["center"], spec["width"]
         return Field.from_function(grid, lambda x: np.exp(-(((x - c) / s) ** 2)), weights)
+    if not 1 <= spec["max_mode"] < grid.n // 2:
+        raise ConfigError(f"expected an integer in 1 .. {grid.n // 2 - 1}", f"{path}.max_mode")
     base = band_limited_random(grid, rng, max_mode=spec["max_mode"], dim=1, decay=spec["decay"])
     return Field(grid, base.values * weights[None, :])
 
@@ -343,16 +347,17 @@ _NORM = _kinds({
 SECTIONS = {
     "check-condition": _obj({
         "sector_angle": (_then(_num, lambda v, path: Sector(v)), math.pi / 2),
-        "xi_points_per_side": (_int, 1200),
+        "xi_points_per_side": (_int_from(2), 1200),
     }),
     "solve-linear": _obj({"forcing": (_FIELD, REQUIRED), "lambda": (_cnum, 0.0)}),
     "lambda-sweep": _obj({"forcing": (_FIELD, REQUIRED), "lambdas": _LAMBDAS}),
     "mikhlin": _obj(
         {"lambdas": _LAMBDAS, "families": (_list_of(_family), [0, 1, 2, 3, 4, "sigma"])}
     ),
-    "rbound": _obj(
-        {"xi_samples": (_list_of(_num), REQUIRED), "lambdas": _LAMBDAS, "trials": (_int, 200)}
-    ),
+    "rbound": _obj({
+        "xi_samples": (_list_of(_num), REQUIRED), "lambdas": _LAMBDAS,
+        "trials": (_int_from(100), 200),
+    }),
     "solve-parabolic": _then(_obj({
         "t_final": (_pos, REQUIRED), "dt": (_pos, REQUIRED), "initial": (_FIELD, REQUIRED),
         "forcing": (_FORCING, None), "nonlinearity": (_NONLINEARITY, None),
@@ -361,7 +366,7 @@ SECTIONS = {
         "step_tol": (_num, DEFAULT_STEP_TOL),
     }), _whole_steps),
     "solve-elliptic": _then(_obj({
-        "t_final": (_pos, REQUIRED), "m": (_int, REQUIRED),
+        "t_final": (_pos, REQUIRED), "m": (_int_from(1), REQUIRED),
         "bc": (_obj({
             **{k: (_cnum, REQUIRED) for k in ("alpha1", "beta1", "alpha2", "beta2")},
             "f1": (_FIELD, REQUIRED), "f2": (_FIELD, REQUIRED),

@@ -5,11 +5,18 @@ per-frequency matrix ODEs with matrix M_j = (mu_hat + nu)(A + eta(xi_j)).
 A commutes with eta(xi_j) I, so all frequencies share the eigenbasis of A and
 the flow is a scalar exponential per eigenvalue; a dense A without a
 well-conditioned eigenbasis falls back to one matrix exponential per frequency.
+The state lives in spectral coefficients (x-Fourier modes in the eigenbasis
+of A, or in the standard basis on the fallback) from one step to the next;
+samples in x are formed only where they are read: stored snapshots, and in
+semilinear runs F(u) and the halting monitors.
 Forcing is treated piecewise-constant per step (left endpoint).  Nonlinear
 terms use first-order exponential Lie splitting: an explicit Euler substep
-for F followed by the exact linear flow.  Semilinear runs halt early when
-the sup norm crosses the blow-up threshold or the step-doubling error
-estimate exceeds its tolerance; the report keeps the last valid time.
+for F followed by the exact linear flow, with F evaluated twice per accepted
+step (at u, shared by the full step, the first half step and the F(u)
+integral, and at the midpoint of the two half steps).  Semilinear runs halt
+early when the sup norm crosses the blow-up threshold, the state loses
+finiteness or the step-doubling error estimate exceeds its tolerance; the
+report keeps the last valid time and names the reason.
 """
 
 from __future__ import annotations
@@ -143,21 +150,21 @@ class _Propagator:
                 self.e_mats[j] = exp_block[:d, :d]
                 self.p_mats[j] = exp_block[:d, d:]
 
-    def step(self, values: np.ndarray, forcing: Optional[np.ndarray]) -> np.ndarray:
-        """Advance (n, dim) samples by dt; ``forcing`` held constant on the step."""
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """(n, dim) samples -> coefficients in x-Fourier modes and A's eigenbasis."""
         vh = np.fft.fft(values, axis=0)
-        fh = None if forcing is None else np.fft.fft(forcing, axis=0)
-        if self.diag is not None:
-            w = self.fwd(vh)
-            w = self.e_fac * w
-            if fh is not None:
-                w = w + self.p_fac * self.fwd(fh)
-            out = self.inv(w)
-        else:
-            out = np.einsum("jab,jb->ja", self.e_mats, vh)
-            if fh is not None:
-                out = out + np.einsum("jab,jb->ja", self.p_mats, fh)
-        return np.fft.ifft(out, axis=0)
+        return vh if self.diag is None else self.fwd(vh)
+
+    def advance(self, w: np.ndarray, fw: Optional[np.ndarray] = None) -> np.ndarray:
+        """Advance coefficients by dt; forcing coefficients ``fw`` held constant."""
+        if self.diag is None:
+            out = np.einsum("jab,jb->ja", self.e_mats, w)
+            return out if fw is None else out + np.einsum("jab,jb->ja", self.p_mats, fw)
+        return self.e_fac * w if fw is None else self.e_fac * w + self.p_fac * fw
+
+    def from_spectral(self, w: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_spectral``."""
+        return np.fft.ifft(w if self.diag is None else self.inv(w), axis=0)
 
 
 @dataclass
@@ -187,12 +194,17 @@ class MaximalSolutionReport:
 
     ``blowup_indicator`` tracks the running maxima of the sup norm and the
     time-integrated L_p norm of F(u); both are non-decreasing along the run.
+    ``halt_reason`` is "threshold", "step_tol" or "non_finite" for an early
+    stop and None for a completed run; ``last_error_estimate`` is the relative
+    step-doubling estimate of the last step tried (None when F = 0).
     """
 
     completed: bool
     t_max: float
     final_norms: dict
     blowup_indicator: dict = dc_field(default_factory=dict)
+    halt_reason: Optional[str] = None
+    last_error_estimate: Optional[float] = None
 
     def to_dict(self):
         return {
@@ -200,6 +212,8 @@ class MaximalSolutionReport:
             "t_max": self.t_max,
             "final_norms": self.final_norms,
             "blowup_indicator": self.blowup_indicator,
+            "halt_reason": self.halt_reason,
+            "last_error_estimate": self.last_error_estimate,
         }
 
 
@@ -235,20 +249,21 @@ def solve_cauchy_linear(
     problem.validate_field(u0)
     n_steps = step_count(t_final, dt)
     prop = _Propagator(problem, dt)
-    values = u0.values.copy()
-    times, snaps = [0.0], [values.copy()]
+    w = prop.to_spectral(u0.values)
+    times, snaps = [0.0], [u0.values.copy()]
     t = 0.0
     for step in range(n_steps):
-        f_now = forcing(t) if forcing is not None else None
-        values = prop.step(values, f_now)
-        if not np.all(np.isfinite(values)):
+        fw = prop.to_spectral(forcing(t)) if forcing is not None else None
+        w = prop.advance(w, fw)
+        if not np.all(np.isfinite(w)):
             raise BlowUpError(f"linear evolution lost finiteness at t = {t + dt:g}")
         t = (step + 1) * dt
-        if store_every and (step + 1) % store_every == 0 and step + 1 < n_steps:
+        if step + 1 == n_steps or (store_every and (step + 1) % store_every == 0):
+            values = prop.from_spectral(w)
+            if not np.all(np.isfinite(values)):
+                raise BlowUpError(f"linear evolution lost finiteness at t = {t:g}")
             times.append(t)
-            snaps.append(values.copy())
-    times.append(t)
-    snaps.append(values.copy())
+            snaps.append(values)
     return CauchyState(problem=problem, times=times, snapshots=snaps)
 
 
@@ -267,9 +282,10 @@ def solve_cauchy_semilinear(
     Halts early (completed=False) when the sup norm exceeds
     ``blowup_threshold``, the state loses finiteness, or the relative
     step-doubling error estimate exceeds ``step_tol``; t_max is the last
-    accepted time.  The default step_tol 1e-3 is part of the blow-up
-    detection contract: threshold-only halting lags first-order splitting
-    past the true blow-up time.
+    accepted time and the report's ``halt_reason`` names the test that
+    fired.  The default step_tol 1e-3 is part of the blow-up detection
+    contract: threshold-only halting lags first-order splitting past the
+    true blow-up time.
 
     Returns (CauchyState, MaximalSolutionReport).
     """
@@ -279,51 +295,51 @@ def solve_cauchy_semilinear(
     prop = _Propagator(problem, dt)
     half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0)
 
-    def advance(values, stepper, step_dt):
-        if nonlinearity.is_zero:
-            v = values
-        else:
-            fvals = nonlinearity.of_field(Field(problem.grid, values))
-            v = values + step_dt * fvals
-        return stepper.step(v, None)
-
     values = u0.values.copy()
+    w = prop.to_spectral(values)
     times, snaps = [0.0], [values.copy()]
     t = 0.0
     sup_max = _sup_norm(values)
     f_acc = 0.0  # running integral of ||F(u)||_p^p
-    completed = True
+    halt_reason, err = None, None
     for step in range(n_steps):
-        new_single = advance(values, prop, dt)
-        if not nonlinearity.is_zero:
-            mid = advance(values, half, dt / 2.0)
-            new_double = advance(mid, half, dt / 2.0)
-            finite = np.all(np.isfinite(new_single)) and np.all(np.isfinite(new_double))
-            err = (
-                _sup_norm(new_double - new_single) / max(1.0, _sup_norm(new_single))
-                if finite
-                else math.inf
-            )
-            if not finite or _sup_norm(new_single) > blowup_threshold or err > step_tol:
-                completed = False
-                break
+        if nonlinearity.is_zero:
+            w_new = prop.advance(w)
+            if not np.all(np.isfinite(w_new)):
+                raise BlowUpError(f"linear evolution lost finiteness at t = {t + dt:g}")
+            new = prop.from_spectral(w_new)
+        else:
             f_now = nonlinearity.of_field(Field(problem.grid, values))
+            fw = prop.to_spectral(f_now)
+            w_new = prop.advance(w + dt * fw)
+            w_mid = half.advance(w + (dt / 2.0) * fw)
+            f_mid = nonlinearity.of_field(Field(problem.grid, prop.from_spectral(w_mid)))
+            w_double = half.advance(w_mid + (dt / 2.0) * prop.to_spectral(f_mid))
+            new = prop.from_spectral(w_new)
+            sup_new = _sup_norm(new)
+            err = _sup_norm(prop.from_spectral(w_double - w_new)) / max(1.0, sup_new)
+            if not (math.isfinite(sup_new) and math.isfinite(err)):
+                halt_reason = "non_finite"
+            elif sup_new > blowup_threshold:
+                halt_reason = "threshold"
+            elif err > step_tol:
+                halt_reason = "step_tol"
+            if halt_reason is not None:
+                break
             f_acc += dt * lp_norm(Field(problem.grid, f_now), problem.p) ** problem.p
-        elif not np.all(np.isfinite(new_single)):
-            raise BlowUpError(f"linear evolution lost finiteness at t = {t + dt:g}")
-        values = new_single
+        values, w = new, w_new
         t = (step + 1) * dt
         sup_max = max(sup_max, _sup_norm(values))
         if store_every and (step + 1) % store_every == 0 and step + 1 < n_steps:
             times.append(t)
-            snaps.append(values.copy())
+            snaps.append(values)
     if times[-1] != t:
         times.append(t)
-        snaps.append(values.copy())
+        snaps.append(values)
     state = CauchyState(problem=problem, times=times, snapshots=snaps)
     final = Field(problem.grid, values)
     report = MaximalSolutionReport(
-        completed=completed,
+        completed=halt_reason is None,
         t_max=t,
         final_norms={
             "u_lp": lp_norm(final, problem.p),
@@ -333,5 +349,7 @@ def solve_cauchy_semilinear(
             "u_sup_max": sup_max,
             "nonlinearity_lp_time": f_acc ** (1.0 / problem.p),
         },
+        halt_reason=halt_reason,
+        last_error_estimate=err,
     )
     return state, report

@@ -150,6 +150,13 @@ BAD_EDITS = [
     ("example-4.3", ("problem", "grid", "half_width"), 10**400, "problem.grid.half_width"),
     ("example-4.3-condition", ("problem", "operator"), {"kind": "dense-matrix", "csv": "no.csv"},
      "problem.operator"),
+    # range checks the library also makes, reached from a config
+    ("problem-4.6", ("solve-elliptic", "m"), 0, "solve-elliptic.m"),
+    ("example-4.3-rbound", ("rbound", "trials"), 50, "rbound.trials"),
+    ("example-4.3-condition", ("check-condition", "xi_points_per_side"), 1,
+     "check-condition.xi_points_per_side"),
+    ("norms-gaussian", ("norms-report", "field"), {"type": "band-limited-random", "max_mode": 0},
+     "norms-report.field.max_mode"),
 ]
 
 

@@ -1,9 +1,12 @@
 """Cauchy-problem marching: exact linear flow per frequency, semigroup and
 equilibrium identities, semilinear splitting, and blow-up detection."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from coesolve import (
     DiscretizedProblem,
@@ -17,8 +20,13 @@ from coesolve import (
     solve_cauchy_semilinear,
     solve_linear,
 )
-from coesolve.errors import InvalidArgumentError
-from coesolve.operators import DenseMatrixOperator, PeriodicSturmLiouvilleOperator
+from coesolve.errors import BlowUpError, InvalidArgumentError
+from coesolve.evolution import DEFAULT_STEP_TOL, _Propagator
+from coesolve.operators import (
+    DenseMatrixOperator,
+    DirichletLaplacian2D,
+    PeriodicSturmLiouvilleOperator,
+)
 
 
 def scalar_problem(c=1.0, half_width=np.pi * 16.0, n=64):
@@ -106,6 +114,77 @@ def test_diagonalized_and_dense_propagators_agree(monkeypatch):
     assert dense.diagonalization() is not None
     for other in finals[1:]:
         assert np.max(np.abs(finals[0] - other)) < 1e-10
+
+
+# Non-normal, eigenvalues 1, 2, 3: a well-conditioned but non-orthogonal basis.
+_NON_NORMAL = np.array([[1.0, 0.5, 0.2], [0.0, 2.0, 0.7], [0.0, 0.0, 3.0]])
+
+
+def _operator(kind):
+    if kind == "psl":
+        return PeriodicSturmLiouvilleOperator(b=1.0, n=4)
+    if kind == "laplacian":
+        return DirichletLaplacian2D(n_y=2, n_z=3, c=0.5)
+    op = DenseMatrixOperator(_NON_NORMAL)
+    if kind == "fallback":
+        op.diagonalization = lambda: None
+    return op
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["psl", "laplacian", "dense", "fallback"]),
+    n_steps=st.integers(1, 12),
+    store_every=st.integers(0, 5),
+    dt=st.sampled_from([0.003, 0.01, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_stepping_matches_per_step_round_trips(kind, n_steps, store_every, dt, seed):
+    """Coefficients kept between steps give the same snapshots as
+    transforming to samples in x and back on every step."""
+    op = _operator(kind)
+    assert (op.diagonalization() is None) == (kind == "fallback")
+    sym = SymbolSet(
+        l=2, b=(0.5, 0.0, -1.0), a_kernels={2: Kernel("exponential-paper", rate=1.0)}, nu=1.0
+    )
+    grid = Grid(half_width=4.0, n=16)
+    prob = DiscretizedProblem(sym, op, grid, p=2.0)
+    prob.check_condition()
+    rng = np.random.default_rng(seed)
+    shape = (grid.n, op.dim)
+    u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f0, f1 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+
+    def forcing(t):
+        return np.cos(3.0 * t) * f0 + t * f1
+
+    state = solve_cauchy_linear(
+        prob, Field(grid, u0), forcing=forcing, t_final=n_steps * dt, dt=dt,
+        store_every=store_every,
+    )
+    prop = _Propagator(prob, dt)
+    values, expected = u0, [u0]
+    for k in range(1, n_steps + 1):
+        w = prop.advance(prop.to_spectral(values), prop.to_spectral(forcing((k - 1) * dt)))
+        values = prop.from_spectral(w)
+        if k == n_steps or (store_every and k % store_every == 0):
+            expected.append(values)
+    assert len(state.snapshots) == len(expected)
+    for got, ref in zip(state.snapshots, expected):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_non_finite_forcing_names_the_step_it_entered():
+    prob = convolution_problem(n=32)
+    u0 = Field.from_function(prob.grid, lambda x: np.exp(-(x**2)), weights=(1.0, 1.0))
+    dt, k = 0.01, 7
+
+    def forcing(t):
+        # sampled at the left endpoint (k - 1) dt of step k
+        return np.full((32, 2), np.nan if t > (k - 1.5) * dt else 0.0)
+
+    with pytest.raises(BlowUpError, match=r"at t = 0\.07$"):
+        solve_cauchy_linear(prob, u0, forcing=forcing, t_final=0.2, dt=dt)
 
 
 def test_semigroup_property():
@@ -216,6 +295,32 @@ def test_blowup_is_detected_in_the_expected_window():
     assert report.blowup_indicator["u_sup_max"] >= 100.0
     assert report.blowup_indicator["nonlinearity_lp_time"] > 0.0
     assert state.t == pytest.approx(report.t_max)
+    assert report.halt_reason == "step_tol"
+    assert report.last_error_estimate > 1e-3
+    assert report.to_dict()["halt_reason"] == "step_tol"
+
+
+@pytest.mark.parametrize("fn, reason", [
+    (lambda u: u * u, "threshold"),
+    (lambda u: np.where(np.abs(u) > 1.5, np.nan, u * u), "non_finite"),
+])
+def test_halt_reason_names_the_test_that_fired(fn, reason):
+    """u_t = u^2 again; with the error monitor off, the threshold or a
+    non-finite F stops the run."""
+    sym = SymbolSet(l=2, b=(0.0, 0.0, -1.0), nu=1.0)
+    prob = DiscretizedProblem(
+        sym, DenseMatrixOperator(np.array([[1e-12]])), Grid(half_width=4.0, n=8), p=2.0
+    )
+    prob.check_condition()
+    u0 = Field.from_function(prob.grid, lambda x: np.ones_like(x))
+    nl = Nonlinearity(kind="pointwise-closed-form", arity=0, fn=fn)
+    state, report = solve_cauchy_semilinear(
+        prob, u0, nl, t_final=1.2, dt=1e-3, blowup_threshold=1e8, step_tol=math.inf
+    )
+    assert not report.completed
+    assert report.halt_reason == reason
+    assert np.all(np.isfinite(state.final.values))
+    assert report.final_norms["u_sup"] <= 1e8
 
 
 def test_damped_semilinear_run_completes_and_decays():
@@ -229,6 +334,26 @@ def test_damped_semilinear_run_completes_and_decays():
     assert report.t_max == pytest.approx(1.0)
     assert report.final_norms["u_sup"] <= 0.1
     assert report.blowup_indicator["u_sup_max"] <= 0.1 + 1e-9
+    assert report.halt_reason is None
+    assert 0.0 < report.last_error_estimate <= DEFAULT_STEP_TOL
+    assert report.to_dict()["halt_reason"] is None
+
+
+def test_semilinear_step_evaluates_the_nonlinearity_twice():
+    """F at u serves the full step, the first half step and the F(u)
+    integral; the second evaluation is at the midpoint of the half steps."""
+    calls = []
+
+    def damped_cubic(u):
+        calls.append(1)
+        return -(u**3)
+
+    prob = convolution_problem(n=64)
+    u0 = Field.from_function(prob.grid, lambda x: 0.1 * np.exp(-(x**2)), weights=(1.0, 1.0))
+    nl = Nonlinearity(kind="pointwise-closed-form", arity=0, fn=damped_cubic)
+    _, report = solve_cauchy_semilinear(prob, u0, nl, t_final=0.25, dt=0.01)
+    assert report.completed
+    assert len(calls) == 2 * 25
 
 
 # ---------------------------------------------------------------------------
