@@ -251,8 +251,12 @@ def _component_weights(weights, path, operator):
     idx = weights["index"]
     if not 0 <= idx < operator.dim:
         raise ConfigError("operator-mode index out of range", f"{path}.index")
-    eigvals, eigvecs = np.linalg.eig(operator.as_dense())
-    vec = eigvecs[:, np.argsort(eigvals.real)[idx]]
+    diag = operator.diagonalization()
+    if diag is None:
+        raise ConfigError("operator-mode weights need a well-conditioned eigenbasis", path)
+    _, inv, eigs = diag
+    k = np.argsort(eigs.real, kind="stable")[idx]  # ties keep eigenbasis order
+    vec = inv(np.eye(1, operator.dim, k)[0])  # mode k: the inverse transform of e_k
     vec = vec / np.max(np.abs(vec))
     if np.max(np.abs(vec.imag)) < 1e-12:
         vec = vec.real

@@ -2,10 +2,15 @@
 
 Three kinds: an arbitrary dense matrix (eigenvalues must have positive real
 part), a periodic Sturm-Liouville operator -d^2/dy^2 + b on [0, 1] (circulant,
-solved by FFT diagonalization), and a 5-point Dirichlet Laplacian on the unit
-square plus a constant shift (solved by DST diagonalization).  All kinds
-support batched application and batched resolvent solves (A + z)^{-1} w with
-one shift per row, which is what the per-frequency solvers consume.
+diagonalized by the FFT), and a 5-point Dirichlet Laplacian on the unit square
+plus a constant shift (diagonalized by the DST).
+
+The spectral contract: a kind defines how A acts (``apply_many``) and its
+eigenbasis (``diagonalization``).  ``OperatorRealization`` derives the rest
+from those two: batched resolvent solves (A + z)^{-1} w with one shift per
+row, which is what the per-frequency solvers consume, the dense matrix and
+the spectrum.  The dense kind overrides the resolvent with a batched LU
+solve, the one path that also works for a defective A.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import scipy.fft
 from .errors import InvalidArgumentError, SingularResolventError
 from .symbols import Sector
 
-_SINGULAR_RCOND = 1e-300
 # Largest cond(V) of a dense A's eigenvectors that diagonalization() accepts:
 # transforms through V lose about cond(V) * eps (Moler & Van Loan, "Nineteen
 # dubious ways to compute the exponential of a matrix", SIAM Rev. 2003).
@@ -27,7 +31,9 @@ EIGENBASIS_COND_LIMIT = 1e6
 
 
 class OperatorRealization:
-    """Base interface: dim, apply, resolvent solves, dense materialization."""
+    """A kind defines ``dim``, ``apply_many`` and ``diagonalization``; the
+    resolvent, ``as_dense`` and ``eigenvalues`` are derived from them.  The
+    dense kind overrides the resolvent for a defective A (no eigenbasis)."""
 
     kind = "abstract"
 
@@ -50,15 +56,27 @@ class OperatorRealization:
         )[0]
 
     def resolvent_solve_many(self, z_rows, w_rows):
-        """(A + z_i)^{-1} w_i per row; ``z_rows`` has one shift per row of ``w_rows``."""
-        raise NotImplementedError
+        """(A + z_i)^{-1} w_i per row; ``z_rows`` has one shift per row of ``w_rows``.
+
+        Divides by lambda_j + z_i in the eigenbasis.  A quotient whose
+        denominator is lost to rounding, |lambda_j + z_i| <= 4 eps
+        (|lambda_j| + |z_i|), raises ``SingularResolventError``.
+        """
+        z_rows, w_rows = _shift_rows(z_rows, w_rows)
+        fwd, inv, eigs = self.diagonalization()
+        den = eigs[None, :] + z_rows[:, None]
+        scale = np.abs(eigs)[None, :] + np.abs(z_rows)[:, None]
+        if np.any(np.abs(den) <= 4.0 * np.finfo(float).eps * scale):
+            raise SingularResolventError("shift hits the operator spectrum")
+        return inv(fwd(w_rows) / den)
 
     def as_dense(self):
-        raise NotImplementedError
+        """The dim x dim matrix of A, column j being A e_j."""
+        return self.apply_many(np.eye(self.dim)).T
 
     def eigenvalues(self):
-        """Spectrum of the stand-in (analytic where the kind permits)."""
-        return np.linalg.eigvals(self.as_dense())
+        """Spectrum of the stand-in, in the order of the eigenbasis."""
+        return self.diagonalization()[2]
 
     def diagonalization(self):
         """(forward, inverse, eigs) transforms to the eigenbasis, or None.
@@ -67,7 +85,16 @@ class OperatorRealization:
         operator to multiplication by ``eigs``.  None only for a dense A whose
         eigenvectors fail the ``EIGENBASIS_COND_LIMIT`` guard.
         """
-        return None
+        raise NotImplementedError
+
+
+def _shift_rows(z_rows, w_rows):
+    """Complex (m,) shifts and (m, dim) right-hand sides, one shift per row."""
+    z_rows = np.asarray(z_rows, dtype=complex)
+    w_rows = np.asarray(w_rows, dtype=complex)
+    if w_rows.ndim != 2 or z_rows.shape != w_rows.shape[:1]:
+        raise InvalidArgumentError("one shift per right-hand-side row required")
+    return z_rows, w_rows
 
 
 class DenseMatrixOperator(OperatorRealization):
@@ -109,10 +136,7 @@ class DenseMatrixOperator(OperatorRealization):
         return np.asarray(rows, dtype=complex) @ self._m.T
 
     def resolvent_solve_many(self, z_rows, w_rows):
-        z_rows = np.asarray(z_rows, dtype=complex)
-        w_rows = np.asarray(w_rows, dtype=complex)
-        if z_rows.shape[0] != w_rows.shape[0]:
-            raise InvalidArgumentError("one shift per right-hand-side row required")
+        z_rows, w_rows = _shift_rows(z_rows, w_rows)
         shifted = self._m[None, :, :] + z_rows[:, None, None] * np.eye(self.dim)[None]
         try:
             return np.linalg.solve(shifted, w_rows[:, :, None])[:, :, 0]
@@ -173,26 +197,6 @@ class PeriodicSturmLiouvilleOperator(OperatorRealization):
             + self._b * rows
         )
 
-    def resolvent_solve_many(self, z_rows, w_rows):
-        z_rows = np.asarray(z_rows, dtype=complex)
-        w_rows = np.asarray(w_rows, dtype=complex)
-        den = self._eigs[None, :] + z_rows[:, None]
-        if np.any(np.abs(den) < _SINGULAR_RCOND):
-            raise SingularResolventError("shift hits the operator spectrum")
-        return np.fft.ifft(np.fft.fft(w_rows, axis=1) / den, axis=1)
-
-    def as_dense(self):
-        n2 = float(self._n) ** 2
-        m = np.zeros((self._n, self._n), dtype=complex)
-        idx = np.arange(self._n)
-        m[idx, idx] = 2.0 * n2 + self._b
-        m[idx, (idx + 1) % self._n] = -n2
-        m[idx, (idx - 1) % self._n] = -n2
-        return m
-
-    def eigenvalues(self):
-        return self._eigs.astype(complex)
-
     def diagonalization(self):
         fwd = lambda rows: np.fft.fft(rows, axis=-1, norm="ortho")
         inv = lambda rows: np.fft.ifft(rows, axis=-1, norm="ortho")
@@ -203,7 +207,7 @@ class DirichletLaplacian2D(OperatorRealization):
     """5-point -Laplace + c on the unit square with zero boundary values.
 
     Interior grid (n_y, n_z); vectors are row-major flattenings.  DST-I
-    diagonalizes both directions, so applies and solves are fast transforms.
+    diagonalizes both directions, so solves are fast transforms.
     """
 
     kind = "dirichlet-laplacian-2d"
@@ -228,56 +232,23 @@ class DirichletLaplacian2D(OperatorRealization):
     def shape2d(self):
         return (self._ny, self._nz)
 
-    def _stencil(self, grids):
-        hy2 = (self._ny + 1) ** 2
-        hz2 = (self._nz + 1) ** 2
-        padded = np.zeros(
-            (grids.shape[0], self._ny + 2, self._nz + 2), dtype=complex
-        )
-        padded[:, 1:-1, 1:-1] = grids
+    def apply_many(self, rows):
+        rows = np.asarray(rows, dtype=complex)
+        m, hy2, hz2 = rows.shape[0], (self._ny + 1) ** 2, (self._nz + 1) ** 2
+        padded = np.zeros((m, self._ny + 2, self._nz + 2), dtype=complex)
+        padded[:, 1:-1, 1:-1] = rows.reshape(m, self._ny, self._nz)
         inner = padded[:, 1:-1, 1:-1]
         lap = hy2 * (2.0 * inner - padded[:, :-2, 1:-1] - padded[:, 2:, 1:-1]) + hz2 * (
             2.0 * inner - padded[:, 1:-1, :-2] - padded[:, 1:-1, 2:]
         )
-        return lap + self._c * inner
-
-    def apply_many(self, rows):
-        rows = np.asarray(rows, dtype=complex)
-        grids = rows.reshape(rows.shape[0], self._ny, self._nz)
-        return self._stencil(grids).reshape(rows.shape[0], self.dim)
-
-    def _dst2(self, grids):
-        return scipy.fft.dstn(grids, type=1, axes=(-2, -1), norm="ortho")
-
-    def resolvent_solve_many(self, z_rows, w_rows):
-        z_rows = np.asarray(z_rows, dtype=complex)
-        w_rows = np.asarray(w_rows, dtype=complex)
-        grids = w_rows.reshape(w_rows.shape[0], self._ny, self._nz)
-        coeff = self._dst2(grids.real) + 1j * self._dst2(grids.imag)
-        den = self._eigs2d[None, :, :] + z_rows[:, None, None]
-        if np.any(np.abs(den) < _SINGULAR_RCOND):
-            raise SingularResolventError("shift hits the operator spectrum")
-        coeff = coeff / den
-        out = self._dst2(coeff.real) + 1j * self._dst2(coeff.imag)
-        return out.reshape(w_rows.shape[0], self.dim)
-
-    def as_dense(self):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        eye = np.eye(self.dim, dtype=complex)
-        for i in range(self.dim):
-            out[:, i] = self.apply_many(eye[i][None, :])[0]
-        return out
-
-    def eigenvalues(self):
-        return self._eigs2d.reshape(-1).astype(complex)
+        return (lap + self._c * inner).reshape(m, self.dim)
 
     def diagonalization(self):
-        ny, nz = self._ny, self._nz
+        dst2 = lambda grids: scipy.fft.dstn(grids, type=1, axes=(-2, -1), norm="ortho")
 
         def fwd(rows):
-            grids = rows.reshape(rows.shape[:-1] + (ny, nz))
-            out = self._dst2(grids.real) + 1j * self._dst2(grids.imag)
-            return out.reshape(rows.shape)
+            grids = rows.reshape(rows.shape[:-1] + (self._ny, self._nz))
+            return (dst2(grids.real) + 1j * dst2(grids.imag)).reshape(rows.shape)
 
         return fwd, fwd, self._eigs2d.reshape(-1).astype(complex)
 
@@ -334,8 +305,9 @@ def positivity_scan(
     """Estimate the positivity constant of A on a sector from samples.
 
     ||(A + z)^{-1}||_2 is computed as the reciprocal smallest singular value
-    of the shifted dense materialization.  Samples outside the sector are
-    rejected.
+    of the shifted dense materialization; A + z counts as singular once that
+    value is at most dim eps times the largest.  Samples outside the sector
+    are rejected.
     """
     samples = np.atleast_1d(np.asarray(lambda_samples, dtype=complex))
     if samples.size == 0:
@@ -347,8 +319,8 @@ def positivity_scan(
     eye = np.eye(a.shape[0])
     values = []
     for z in samples:
-        smin = np.linalg.svd(a + z * eye, compute_uv=False)[-1]
-        if smin < _SINGULAR_RCOND:
+        sv = np.linalg.svd(a + z * eye, compute_uv=False)
+        if sv[-1] <= a.shape[0] * np.finfo(float).eps * sv[0]:
             raise SingularResolventError(f"A + z singular at z = {z}")
-        values.append((1.0 + abs(z)) / smin)
+        values.append((1.0 + abs(z)) / sv[-1])
     return PositivityReport(sector, samples, values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidArgumentError
-from .symbols import reduced_symbol
+from .symbols import MultiplierFamily
 
 EXHAUSTIVE_LIMIT = 4096
 
@@ -186,24 +186,22 @@ def scaled_resolvent_rbound(
     """R-bound estimate for the scaled resolvent family of a problem.
 
     Builds sigma(xi, lambda) = (1 + lambda) (mu_hat + nu)^{-1}
-    (A + eta(xi) + lambda)^{-1} as dense matrices over the sample product
-    and estimates the family R_p-bound; also reports the uniform norm bound.
+    (A + eta(xi) + lambda)^{-1} (``MultiplierFamily`` index ``"sigma"``) as
+    dense matrices over the sample product and estimates the family R_p-bound;
+    also reports the uniform norm bound.
     """
     xi_samples = np.atleast_1d(np.asarray(xi_samples, dtype=float))
     lambda_samples = np.atleast_1d(np.asarray(lambda_samples, dtype=complex))
     if xi_samples.size == 0 or lambda_samples.size == 0:
         raise InvalidArgumentError("need nonempty xi and lambda samples")
-    a = problem.operator.as_dense()
-    eye = np.eye(a.shape[0])
-    mats = []
-    for xi in xi_samples:
-        eta = complex(reduced_symbol(problem.symbols, float(xi)))
-        den = complex(problem.symbols.denominator(float(xi)))
-        for lam in lambda_samples:
-            if not problem.lambda_sector.contains(lam):
-                raise InvalidArgumentError(f"lambda {lam} outside the sector")
-            res = np.linalg.inv(a + (eta + lam) * eye)
-            mats.append((1.0 + lam) / den * res)
+    for lam in lambda_samples:
+        if not problem.lambda_sector.contains(lam):
+            raise InvalidArgumentError(f"lambda {lam} outside the sector")
+    mats = [
+        MultiplierFamily(problem.symbols, "sigma", lam, problem.operator).matrix(xi)
+        for xi in xi_samples
+        for lam in lambda_samples
+    ]
     estimate = empirical_rbound(mats, p=p, trials=trials, seed=seed)
     uniform = max(float(np.linalg.norm(m, 2)) for m in mats)
     return estimate, uniform

@@ -9,8 +9,13 @@ import pytest
 
 from coesolve import run_scenario, validate_config
 from coesolve.cli import main
-from coesolve.config import SCENARIOS
+from coesolve.config import SCENARIOS, _component_weights
 from coesolve.errors import ConfigError
+from coesolve.operators import (
+    DenseMatrixOperator,
+    DirichletLaplacian2D,
+    PeriodicSturmLiouvilleOperator,
+)
 from coesolve.presets import get_preset, preset_names
 from coesolve.runner import HANDLERS
 
@@ -157,6 +162,9 @@ BAD_EDITS = [
      "check-condition.xi_points_per_side"),
     ("norms-gaussian", ("norms-report", "field"), {"type": "band-limited-random", "max_mode": 0},
      "norms-report.field.max_mode"),
+    # operator-mode weights on a Jordan block, which has no eigenbasis
+    ("example-4.4", ("problem", "operator"), {"kind": "dense-matrix", "matrix": [[1, 1], [0, 1]]},
+     "solve-parabolic.initial.weights"),
 ]
 
 
@@ -362,6 +370,62 @@ def test_cli_presets_dump(capsys):
     dumped = json.loads(capsys.readouterr().out)
     assert dumped["scenario"] == "solve-parabolic"
     assert main(["presets", "--dump", "bogus"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# operator-mode field weights
+# ---------------------------------------------------------------------------
+
+
+def _non_normal_dense(d=5):
+    rng = np.random.default_rng(4)
+    t = np.diag(1.0 + rng.random(d) + 1j * rng.uniform(-1.0, 1.0, d))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q @ (t + np.triu(rng.standard_normal((d, d)), 1)) @ q.conj().T
+
+
+MODE_OPERATORS = [
+    DenseMatrixOperator(_non_normal_dense()),
+    PeriodicSturmLiouvilleOperator(b=0.7, n=12),
+    DirichletLaplacian2D(4, 4, c=0.5),
+    DirichletLaplacian2D(3, 5, c=0.0),
+]
+
+
+def _mode(op, index):
+    return _component_weights({"type": "operator-mode", "index": index}, "w", op)
+
+
+@pytest.mark.parametrize("op", MODE_OPERATORS, ids=lambda op: f"{op.kind}-{op.dim}")
+def test_operator_mode_weights_are_eigenvectors_in_ascending_real_part(op):
+    ref = np.sort(np.linalg.eigvals(op.as_dense()).real)
+    for index in range(op.dim):
+        v = _mode(op, index)
+        assert np.max(np.abs(v)) == pytest.approx(1.0)
+        lam = np.vdot(v, op.apply(v)) / np.vdot(v, v)
+        residual = np.linalg.norm(op.apply(v) - lam * v)
+        assert residual <= 1e-10 * abs(lam) * np.linalg.norm(v)
+        assert lam.real == pytest.approx(ref[index], rel=1e-10)
+
+
+def test_operator_mode_ties_follow_the_eigenbasis_position():
+    # sin(pi y) sin(2 pi z) and sin(2 pi y) sin(pi z) share one eigenvalue on
+    # a square grid; index 1 is the first of them in row-major (y, z) order
+    h = 1.0 / 5.0
+    s = lambda k: np.sin(np.pi * k * h * np.arange(1, 5))
+    op = DirichletLaplacian2D(4, 4)
+    for index, (ky, kz) in ((1, (1, 2)), (2, (2, 1))):
+        mode = np.outer(s(ky), s(kz)).ravel()
+        assert np.allclose(_mode(op, index), mode / np.max(np.abs(mode)), rtol=0.0, atol=1e-12)
+
+
+def test_dense_operator_mode_weights_are_the_normalized_eig_column():
+    a = _non_normal_dense()
+    eigs, vecs = np.linalg.eig(a)
+    op = DenseMatrixOperator(a)
+    for index, k in enumerate(np.argsort(eigs.real, kind="stable")):
+        col = vecs[:, k] / np.max(np.abs(vecs[:, k]))
+        assert np.allclose(_mode(op, index), col, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

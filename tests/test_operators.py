@@ -3,9 +3,10 @@ positivity scans, and the CSV loader."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coesolve import Sector
-from coesolve.errors import InvalidArgumentError
+from coesolve.errors import InvalidArgumentError, SingularResolventError
 from coesolve.operators import (
     DenseMatrixOperator,
     DirichletLaplacian2D,
@@ -102,6 +103,88 @@ def test_resolvent_batch_matches_loop():
     for i in range(3):
         single = op.resolvent_solve(zs[i], fs[i])
         assert np.allclose(batched[i], single, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        DenseMatrixOperator(np.diag(np.arange(1.0, 9.0))),
+        PeriodicSturmLiouvilleOperator(1.0, 8),
+        DirichletLaplacian2D(2, 4, c=1.0),
+    ],
+    ids=lambda op: op.kind,
+)
+def test_resolvent_needs_one_shift_per_row(op):
+    w = np.ones((3, op.dim))
+    for shifts in ([1.0], [1.0, 2.0], np.ones((3, 1)), 1.0):
+        with pytest.raises(InvalidArgumentError, match="one shift per right-hand-side row"):
+            op.resolvent_solve_many(shifts, w)
+
+
+@pytest.mark.parametrize(
+    "op", [PeriodicSturmLiouvilleOperator(1.0, 8), DirichletLaplacian2D(3, 5, c=0.5)],
+    ids=lambda op: op.kind,
+)
+def test_shift_within_rounding_of_an_eigenvalue_is_singular(op):
+    lam = np.min(op.eigenvalues().real)
+    w = np.ones(op.dim)
+    for z in (-lam, -np.nextafter(lam, np.inf), -np.nextafter(lam, 0.0)):
+        with pytest.raises(SingularResolventError):
+            op.resolvent_solve(z, w)
+    # a shift a million ulps away is an ordinary, if ill-conditioned, solve
+    assert np.all(np.isfinite(op.resolvent_solve(-lam * (1.0 + 1e6 * np.finfo(float).eps), w)))
+
+
+def _eye(n):
+    return np.eye(n, dtype=complex)
+
+
+def _second_difference(n, h2):
+    return h2 * (2.0 * _eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+@st.composite
+def structured_operators(draw):
+    """A small structured operator and its matrix, written out entry by entry."""
+    if draw(st.booleans()):
+        b, n = draw(st.floats(0.5, 5.0)), draw(st.integers(3, 40))
+        ring = np.roll(_eye(n), 1, axis=1) + np.roll(_eye(n), -1, axis=1)
+        return PeriodicSturmLiouvilleOperator(b, n), (2.0 * n * n + b) * _eye(n) - n * n * ring
+    ny, nz, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.floats(0.0, 5.0))
+    matrix = (
+        np.kron(_second_difference(ny, (ny + 1) ** 2), _eye(nz))
+        + np.kron(_eye(ny), _second_difference(nz, (nz + 1) ** 2))
+        + c * _eye(ny * nz)
+    )
+    return DirichletLaplacian2D(ny, nz, c), matrix
+
+
+@settings(max_examples=60)
+@given(
+    case=structured_operators(),
+    moduli=st.lists(st.floats(1e-1, 1e3), min_size=1, max_size=4),
+    args=st.lists(st.floats(-0.75 * np.pi, 0.75 * np.pi), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derived_methods_match_the_dense_oracle(case, moduli, args, seed):
+    """as_dense, the eigenbasis resolvent and the spectrum of the structured
+    kinds against the explicit matrix, LU solves and LAPACK eigenvalues."""
+    op, matrix = case
+    dense = op.as_dense()
+    assert np.allclose(dense, matrix, rtol=1e-14, atol=0.0)
+
+    zs = np.array([r * np.exp(1j * a) for r, a in zip(moduli, args)])
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((zs.size, op.dim)) + 1j * rng.standard_normal((zs.size, op.dim))
+    got = op.resolvent_solve_many(zs, w)
+    for z, wi, gi in zip(zs, w, got):
+        ref = np.linalg.solve(dense + z * np.eye(op.dim), wi)
+        assert np.linalg.norm(gi - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    ref = np.linalg.eigvals(dense)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
+    assert np.allclose(np.sort(op.eigenvalues().real), np.sort(ref.real), rtol=0.0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +310,15 @@ def test_positivity_scan_scalar_on_tilted_ray():
     # worst case (1+r)/|1 + r e^{i pi/4}| stays below 2 / sqrt(2 + sqrt 2)
     assert report.m_bound <= 2.0 / np.sqrt(2.0 + np.sqrt(2.0)) + 1e-9
     assert report.m_bound >= 1.0
+
+
+def test_positivity_scan_rejects_a_numerically_singular_shift():
+    # A + z = diag(2e-17, 1): singular to working precision, though far above
+    # any absolute floor
+    op = DenseMatrixOperator(np.diag([1e-17, 1.0]))
+    with pytest.raises(SingularResolventError, match="singular"):
+        positivity_scan(op, Sector(np.pi / 4), [1e-17])
+    assert positivity_scan(op, Sector(np.pi / 4), [1e-3]).m_bound == pytest.approx(1.001 / 1e-3)
 
 
 def test_positivity_scan_rejects_bad_input():
