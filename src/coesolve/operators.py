@@ -11,6 +11,15 @@ from those two: batched resolvent solves (A + z)^{-1} w with one shift per
 row, which is what the per-frequency solvers consume, the dense matrix and
 the spectrum.  The dense kind overrides the resolvent with a batched LU
 solve, the one path that also works for a defective A.
+
+A kind whose eigenbasis transforms are unitary sets ``unitary``: the
+structured kinds, whose ``norm="ortho"`` FFT and DST are.  Such an A is
+normal, so the 2-norm of any function of it, the resolvent included, is the
+largest modulus of that function over the spectrum, and the estimators read
+it off the eigenvalues without a dense matrix.  A dense A is not unitarily
+diagonalizable in general, and for a non-normal A the eigenvalues do not
+give the resolvent norm (Trefethen & Embree, "Spectra and Pseudospectra",
+2005), so it keeps ``unitary`` False and the SVD.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ class OperatorRealization:
     dense kind overrides the resolvent for a defective A (no eigenbasis)."""
 
     kind = "abstract"
+    # True when ``diagonalization`` transforms are unitary (see the module docstring).
+    unitary = False
 
     @property
     def dim(self) -> int:
@@ -64,11 +75,11 @@ class OperatorRealization:
         """
         z_rows, w_rows = _shift_rows(z_rows, w_rows)
         fwd, inv, eigs = self.diagonalization()
-        den = eigs[None, :] + z_rows[:, None]
-        scale = np.abs(eigs)[None, :] + np.abs(z_rows)[:, None]
-        if np.any(np.abs(den) <= 4.0 * np.finfo(float).eps * scale):
-            raise SingularResolventError("shift hits the operator spectrum")
-        return inv(fwd(w_rows) / den)
+        return inv(fwd(w_rows) / _shifted_spectrum(eigs, z_rows))
+
+    def resolvent_eigenvalues(self, z):
+        """1 / (lambda_j + z) in the order of ``eigenvalues()``, guarded as above."""
+        return 1.0 / _shifted_spectrum(self.eigenvalues(), np.asarray([z], dtype=complex))[0]
 
     def as_dense(self):
         """The dim x dim matrix of A, column j being A e_j."""
@@ -86,6 +97,16 @@ class OperatorRealization:
         eigenvectors fail the ``EIGENBASIS_COND_LIMIT`` guard.
         """
         raise NotImplementedError
+
+
+def _shifted_spectrum(eigs, z_rows):
+    """(m, dim) denominators lambda_j + z_i; raises ``SingularResolventError``
+    where |lambda_j + z_i| <= 4 eps (|lambda_j| + |z_i|)."""
+    den = eigs[None, :] + z_rows[:, None]
+    scale = np.abs(eigs)[None, :] + np.abs(z_rows)[:, None]
+    if np.any(np.abs(den) <= 4.0 * np.finfo(float).eps * scale):
+        raise SingularResolventError("shift hits the operator spectrum")
+    return den
 
 
 def _shift_rows(z_rows, w_rows):
@@ -168,10 +189,12 @@ class PeriodicSturmLiouvilleOperator(OperatorRealization):
     """-d^2/dy^2 + b on [0, 1] with periodic boundary, n-point second differences.
 
     Circulant, so eigenvalues are b + 4 n^2 sin^2(pi j / n) and every solve
-    is an FFT diagonalization.
+    is an FFT diagonalization.  Modes j and n - j share an eigenvalue, so it
+    is computed from min(j, n - j) and the pair ties exactly.
     """
 
     kind = "periodic-sturm-liouville"
+    unitary = True
 
     def __init__(self, b: float = 1.0, n: int = 128):
         if n < 3:
@@ -179,6 +202,7 @@ class PeriodicSturmLiouvilleOperator(OperatorRealization):
         self._b = float(b)
         self._n = int(n)
         j = np.arange(self._n)
+        j = np.minimum(j, self._n - j)
         self._eigs = self._b + 4.0 * self._n**2 * np.sin(np.pi * j / self._n) ** 2
 
     @property
@@ -211,6 +235,7 @@ class DirichletLaplacian2D(OperatorRealization):
     """
 
     kind = "dirichlet-laplacian-2d"
+    unitary = True
 
     def __init__(self, n_y: int = 32, n_z: int = 32, c: float = 0.0):
         if n_y < 1 or n_z < 1:
@@ -227,10 +252,6 @@ class DirichletLaplacian2D(OperatorRealization):
     @property
     def dim(self):
         return self._ny * self._nz
-
-    @property
-    def shape2d(self):
-        return (self._ny, self._nz)
 
     def apply_many(self, rows):
         rows = np.asarray(rows, dtype=complex)
@@ -304,10 +325,11 @@ def positivity_scan(
 ) -> PositivityReport:
     """Estimate the positivity constant of A on a sector from samples.
 
-    ||(A + z)^{-1}||_2 is computed as the reciprocal smallest singular value
-    of the shifted dense materialization; A + z counts as singular once that
-    value is at most dim eps times the largest.  Samples outside the sector
-    are rejected.
+    ||(A + z)^{-1}||_2 is the reciprocal smallest singular value of A + z:
+    for a ``unitary`` kind the smallest |lambda_j + z|, in one pass over
+    samples x spectrum; otherwise from an SVD of the shifted dense
+    materialization.  A + z counts as singular once that value is at most
+    dim eps times the largest.  Samples outside the sector are rejected.
     """
     samples = np.atleast_1d(np.asarray(lambda_samples, dtype=complex))
     if samples.size == 0:
@@ -315,12 +337,14 @@ def positivity_scan(
     for z in samples:
         if not sector.contains(z):
             raise InvalidArgumentError(f"sample {z} lies outside the sector")
-    a = operator.as_dense()
-    eye = np.eye(a.shape[0])
-    values = []
-    for z in samples:
-        sv = np.linalg.svd(a + z * eye, compute_uv=False)
-        if sv[-1] <= a.shape[0] * np.finfo(float).eps * sv[0]:
-            raise SingularResolventError(f"A + z singular at z = {z}")
-        values.append((1.0 + abs(z)) / sv[-1])
-    return PositivityReport(sector, samples, values)
+    if operator.unitary:
+        dist = np.abs(operator.eigenvalues()[None, :] + samples[:, None])
+        smin, smax = dist.min(axis=1), dist.max(axis=1)
+    else:
+        a, eye = operator.as_dense(), np.eye(operator.dim)
+        sv = np.array([np.linalg.svd(a + z * eye, compute_uv=False) for z in samples])
+        smin, smax = sv[:, -1], sv[:, 0]
+    singular = smin <= operator.dim * np.finfo(float).eps * smax
+    if np.any(singular):
+        raise SingularResolventError(f"A + z singular at z = {samples[np.argmax(singular)]}")
+    return PositivityReport(sector, samples, (1.0 + np.abs(samples)) / smin)

@@ -4,8 +4,10 @@ The L_p norm over the sign space is evaluated exactly by enumerating all
 2^m sign patterns while 2^m <= 4096, and by at least 4096 uniform draws
 beyond that.  R-bounds are estimated from below by maximizing the ratio of
 output to input Rademacher averages over sampled operator tuples; the
-search always includes singleton tuples at top singular vectors, so the
-estimate never falls under the largest single-operator norm.
+search always includes each member's singleton tuple at a vector where it
+attains its norm (the top right singular vector of a matrix, e_argmax of a
+diagonal given as its 1-D vector), so the estimate never falls under the
+largest single-operator norm.
 """
 
 from __future__ import annotations
@@ -75,12 +77,14 @@ def rademacher_lp_norm(vectors, p: float, sample: RademacherSample = None) -> fl
 
 @dataclass(frozen=True)
 class RBoundEstimate:
-    """Lower estimate of an R-bound with its provenance."""
+    """Lower estimate of an R-bound with its provenance, and the uniform
+    bound max ||T|| over the family."""
 
     value: float
     tuples_tested: int
     mode: str
     seed: int
+    uniform_bound: float
 
     def to_dict(self):
         return {
@@ -88,12 +92,33 @@ class RBoundEstimate:
             "tuples_tested": self.tuples_tested,
             "mode": self.mode,
             "seed": self.seed,
+            "uniform_bound": self.uniform_bound,
         }
 
 
-def _top_singular_vector(matrix):
-    _, _, vh = np.linalg.svd(matrix)
-    return vh[0].conj()
+def _singleton(member):
+    """(||T||_2, singleton ratio at a vector attaining it): max |d| at
+    e_argmax for a diagonal d, one SVD for a matrix."""
+    if member.ndim == 1:
+        norm = float(np.max(np.abs(member)))
+        return norm, norm
+    _, s, vh = np.linalg.svd(member)
+    x = vh[0].conj()
+    return float(s[0]), float(np.linalg.norm(member @ x)) / float(np.linalg.norm(x))
+
+
+def _tuple_ratio(members, xs, p, sample):
+    """Output over input Rademacher L_p average of the tuple T_j x_j, or None
+    when the input average vanishes; ``members`` is (m, d) diagonals or
+    (m, d, d) matrices."""
+    den = rademacher_lp_norm(xs, p, sample)
+    if den < 1e-300:
+        return None
+    if members.ndim == 2:
+        ys = members * xs
+    else:
+        ys = np.stack([t @ x for t, x in zip(members, xs)])
+    return rademacher_lp_norm(ys, p, sample) / den
 
 
 def empirical_rbound(
@@ -103,31 +128,31 @@ def empirical_rbound(
 
     Each trial draws a tuple of at most ``m_max`` family members (with
     repetition) and complex Gaussian inputs, and evaluates the ratio of the
-    output to input Rademacher L_p averages.  Singleton tuples at the top
-    right singular vector of every member are always included.
+    output to input Rademacher L_p averages.  Singleton tuples at a vector
+    where each member attains its norm are always included.
+
+    Members are all matrices or all 1-D vectors d, each standing for diag(d).
+    A family diagonal in one unitary basis passes its eigenvalues, and the
+    inputs are then drawn in that basis: the complex Gaussian law and the
+    Euclidean norm are unitarily invariant, so the estimate is the same.
     """
     ops = [np.asarray(t, dtype=complex) for t in operators]
     if not ops:
         raise InvalidArgumentError("empty operator family")
-    d_out, d_in = ops[0].shape
-    for t in ops:
-        if t.shape != (d_out, d_in):
-            raise InvalidArgumentError("family members must share shape")
+    shape = ops[0].shape
+    if len(shape) not in (1, 2) or any(t.shape != shape for t in ops):
+        raise InvalidArgumentError("family members must share shape")
     if trials < 100:
         raise InvalidArgumentError("need at least 100 trials")
+    d_in = shape[-1]
     rng = np.random.default_rng(seed)
 
-    best = 0.0
-    tested = 0
+    singletons = [_singleton(t) for t in ops]
+    uniform = max(norm for norm, _ in singletons)
+    best = max(ratio for _, ratio in singletons)
+    tested = len(ops)
     mode = "exhaustive"
-    for t in ops:
-        x = _top_singular_vector(t)
-        num = float(np.linalg.norm(t @ x))
-        den = float(np.linalg.norm(x))
-        if den > 0:
-            best = max(best, num / den)
-            tested += 1
-
+    family = np.stack(ops)
     for _ in range(trials):
         m = int(rng.integers(1, m_max + 1))
         idx = rng.integers(0, len(ops), size=m)
@@ -137,17 +162,14 @@ def empirical_rbound(
         sample = RademacherSample.plan(m, seed=int(rng.integers(0, 2**31)))
         if sample.mode == "random":
             mode = "random"
-        den = rademacher_lp_norm(xs, p, sample)
-        if den < 1e-300:
-            continue
-        ys = np.stack([ops[i] @ x for i, x in zip(idx, xs)])
-        num = rademacher_lp_norm(ys, p, sample)
-        best = max(best, num / den)
-        tested += 1
+        ratio = _tuple_ratio(family[idx], xs, p, sample)
+        if ratio is not None:
+            best = max(best, ratio)
+            tested += 1
 
-    if tested == 0:
-        raise DegenerateSampleError("every sampled tuple was degenerate")
-    return RBoundEstimate(value=best, tuples_tested=tested, mode=mode, seed=seed)
+    return RBoundEstimate(
+        value=best, tuples_tested=tested, mode=mode, seed=seed, uniform_bound=uniform
+    )
 
 
 def kahane_check(alpha, beta, vectors, p: float = 2.0) -> float:
@@ -186,9 +208,11 @@ def scaled_resolvent_rbound(
     """R-bound estimate for the scaled resolvent family of a problem.
 
     Builds sigma(xi, lambda) = (1 + lambda) (mu_hat + nu)^{-1}
-    (A + eta(xi) + lambda)^{-1} (``MultiplierFamily`` index ``"sigma"``) as
-    dense matrices over the sample product and estimates the family R_p-bound;
-    also reports the uniform norm bound.
+    (A + eta(xi) + lambda)^{-1} (``MultiplierFamily`` index ``"sigma"``) over
+    the sample product and estimates the family R_p-bound; also reports the
+    uniform norm bound.  For a ``unitary`` operator kind the members are
+    their eigenvalue vectors (``MultiplierFamily.diagonal``), otherwise dense
+    matrices.
     """
     xi_samples = np.atleast_1d(np.asarray(xi_samples, dtype=float))
     lambda_samples = np.atleast_1d(np.asarray(lambda_samples, dtype=complex))
@@ -197,11 +221,11 @@ def scaled_resolvent_rbound(
     for lam in lambda_samples:
         if not problem.lambda_sector.contains(lam):
             raise InvalidArgumentError(f"lambda {lam} outside the sector")
-    mats = [
-        MultiplierFamily(problem.symbols, "sigma", lam, problem.operator).matrix(xi)
+    member = MultiplierFamily.diagonal if problem.operator.unitary else MultiplierFamily.matrix
+    family = [
+        member(MultiplierFamily(problem.symbols, "sigma", lam, problem.operator), xi)
         for xi in xi_samples
         for lam in lambda_samples
     ]
-    estimate = empirical_rbound(mats, p=p, trials=trials, seed=seed)
-    uniform = max(float(np.linalg.norm(m, 2)) for m in mats)
-    return estimate, uniform
+    estimate = empirical_rbound(family, p=p, trials=trials, seed=seed)
+    return estimate, estimate.uniform_bound

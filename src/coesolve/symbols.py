@@ -175,7 +175,8 @@ class MultiplierFamily:
     """One member of the bounded multiplier ladder, frozen at lambda.
 
     ``operator`` is an optional realization handle used to materialize the
-    full matrix symbol; the scalar part alone never needs it.
+    full matrix symbol or its eigenvalues; the scalar part alone never needs
+    it.
     """
 
     symbols: SymbolSet
@@ -192,11 +193,32 @@ class MultiplierFamily:
         out = np.asarray(self.prefactor(xi), dtype=complex) / (1.0 + eta + self.lam)
         return out if out.shape else complex(out)
 
-    def matrix(self, xi: float):
-        """Dense matrix symbol at one frequency (requires ``operator``)."""
+    def _operator(self):
         if self.operator is None:
             raise InvalidArgumentError("multiplier family has no operator handle")
-        a = self.operator.as_dense()
+        return self.operator
+
+    def diagonal(self, xi: float):
+        """Eigenvalues of the member at one frequency, in the order of the
+        operator's ``eigenvalues()`` (requires ``operator``)."""
+        op = self._operator()
+        eta = complex(reduced_symbol(self.symbols, float(xi)))
+        out = complex(self.prefactor(float(xi))) * op.resolvent_eigenvalues(eta + self.lam)
+        if composes_with_operator(self.index):
+            out = op.eigenvalues() * out
+        return out
+
+    def matrix(self, xi: float):
+        """Dense matrix symbol at one frequency (requires ``operator``).
+
+        A ``unitary`` operator kind conjugates ``diagonal(xi)`` back through
+        its eigenbasis; any other kind inverts the shifted dense matrix.
+        """
+        op = self._operator()
+        if op.unitary:
+            fwd, inv, _ = op.diagonalization()
+            return inv(self.diagonal(xi) * fwd(np.eye(op.dim))).T
+        a = op.as_dense()
         eta = complex(reduced_symbol(self.symbols, float(xi)))
         shifted = a + (eta + self.lam) * np.eye(a.shape[0])
         res = np.linalg.inv(shifted)

@@ -419,6 +419,15 @@ def test_operator_mode_ties_follow_the_eigenbasis_position():
         assert np.allclose(_mode(op, index), mode / np.max(np.abs(mode)), rtol=0.0, atol=1e-12)
 
 
+def test_sturm_liouville_operator_mode_order_inside_conjugate_pairs():
+    # at n = 128 the modes run 0, 1, 127, 2, 126, ...: mode k is e^{2 pi i k y}
+    n = 128
+    op = PeriodicSturmLiouvilleOperator(b=1.0, n=n)
+    y = np.arange(n) / n
+    for index, k in enumerate([0, 1, 127, 2, 126, 3, 125]):
+        assert np.allclose(_mode(op, index), np.exp(2j * np.pi * k * y), rtol=0.0, atol=1e-12)
+
+
 def test_dense_operator_mode_weights_are_the_normalized_eig_column():
     a = _non_normal_dense()
     eigs, vecs = np.linalg.eig(a)

@@ -42,6 +42,17 @@ def test_sturm_liouville_eigenvalues_match_stencil():
     assert np.allclose(eigs, expected, atol=1e-9)
 
 
+def test_sturm_liouville_conjugate_pairs_tie_exactly():
+    for n in (3, 8, 127, 128):
+        eigs = PeriodicSturmLiouvilleOperator(b=0.7, n=n).eigenvalues()
+        assert np.array_equal(eigs[1:], eigs[1:][::-1])
+    # ties keep the eigenbasis position: each mode j, then its twin n - j
+    eigs = PeriodicSturmLiouvilleOperator(b=1.0, n=128).eigenvalues()
+    order = np.argsort(eigs.real, kind="stable")
+    assert order[:7].tolist() == [0, 1, 127, 2, 126, 3, 125]
+    assert order[-3:].tolist() == [63, 65, 64]
+
+
 def test_dirichlet_laplacian_eigenvector():
     # v_{jk} = sin(pi j h) sin(pi k h) on a 3x3 interior grid, h = 1/4
     n = 3
@@ -319,6 +330,20 @@ def test_positivity_scan_rejects_a_numerically_singular_shift():
     with pytest.raises(SingularResolventError, match="singular"):
         positivity_scan(op, Sector(np.pi / 4), [1e-17])
     assert positivity_scan(op, Sector(np.pi / 4), [1e-3]).m_bound == pytest.approx(1.001 / 1e-3)
+
+
+def test_positivity_scan_rejects_a_numerically_singular_shift_on_the_eigenbasis():
+    # the PSL twin of the dense case: the lowest eigenvalue b = 1e-17 plus the
+    # shift is lost against dim eps times the top of the spectrum
+    op = PeriodicSturmLiouvilleOperator(b=1e-17, n=8)
+    with pytest.raises(SingularResolventError, match="singular"):
+        positivity_scan(op, Sector(np.pi / 4), [1.0, 1e-17])
+    assert positivity_scan(op, Sector(np.pi / 4), [1e-3]).m_bound == pytest.approx(1.001 / 1e-3)
+    # a shift of the Laplacian onto its lowest eigenvalue, hit by z = 0
+    lap = DirichletLaplacian2D(3, 4)
+    lap = DirichletLaplacian2D(3, 4, c=-np.min(lap.eigenvalues().real))
+    with pytest.raises(SingularResolventError, match="singular"):
+        positivity_scan(lap, Sector(np.pi / 4), [0.0])
 
 
 def test_positivity_scan_rejects_bad_input():
