@@ -53,7 +53,6 @@ from .operators import (
 )
 from .grids import Field, Grid, band_limited_random, spectral_derivative
 from .norms import (
-    NormSpec,
     besov_norm,
     lp_norm,
     mixed_norm,
@@ -139,7 +138,6 @@ __all__ = [
     "Grid",
     "band_limited_random",
     "spectral_derivative",
-    "NormSpec",
     "besov_norm",
     "lp_norm",
     "mixed_norm",

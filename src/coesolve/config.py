@@ -7,7 +7,8 @@ object) and its default, or marking it REQUIRED.  Unknown keys, wrong types
 and broken cross-key rules raise ``ConfigError`` naming the innermost dotted
 path of the offender, and so do the range limits the library would reject
 later (``m >= 1``, ``trials >= 100``, ``xi_points_per_side >= 2``,
-``max_mode`` below half the grid).  Complex scalars are plain numbers or [re, im] pairs;
+``max_mode`` below half the grid, ``max_iter >= 1``, norm exponents,
+multiplier family indices).  Complex scalars are plain numbers or [re, im] pairs;
 a null value counts as absent.  Randomized constructs (band-limited fields,
 R-bound trials) draw from a generator seeded by the run seed only.
 """
@@ -53,6 +54,16 @@ def _pos(v, path) -> float:
     if not x > 0:
         raise ConfigError("expected a positive number", path)
     return x
+
+
+def _num_above(lo, strict=False):
+    def parse(v, path):
+        x = _num(v, path)
+        if not (x > lo if strict else x >= lo):
+            raise ConfigError(f"expected a number {'>' if strict else '>='} {lo:g}", path)
+        return x
+
+    return parse
 
 
 def _int(v, path) -> int:
@@ -290,7 +301,9 @@ def build_field(spec, path, grid: Grid, operator: OperatorRealization, rng) -> F
 
 
 def _family(v, path):
-    return v if v == "sigma" else _int(v, path)
+    if v != "sigma" and _int(v, path) not in range(5):
+        raise ConfigError('expected one of 0, 1, 2, 3, 4, "sigma"', path)
+    return v
 
 
 def _time_profile(s, path):
@@ -339,12 +352,15 @@ _NONLINEARITY = _then(
     _nonlinearity,
 )
 _LAMBDAS = (_cnum_list, REQUIRED)
+_EXPONENT = (_num_above(1.0), 2.0)  # p, q >= 1; the trace spaces need p > 1
 _NORM = _kinds({
-    "lp": {"p": (_num, 2.0)},
-    "sobolev": {"l": (_int, None), "p": (_num, 2.0)},
-    "besov": {"s": (_num, 1.0), "q": (_num, 2.0), "p": (_num, 2.0)},
-    "trace": {"l": (_int, None), "p": (_num, 2.0), "q": (_num, 2.0)},
-    "mixed": {"p": (_num, 2.0), "q": (_num, 2.0), "time_points": (_int_from(1), 64)},
+    "lp": {"p": _EXPONENT},
+    "sobolev": {"l": (_int_from(0), None), "p": _EXPONENT},
+    "besov": {"s": (_pos, 1.0), "q": _EXPONENT, "p": _EXPONENT},
+    "trace": {
+        "l": (_int_from(1), None), "p": (_num_above(1.0, strict=True), 2.0), "q": _EXPONENT,
+    },
+    "mixed": {"p": _EXPONENT, "q": _EXPONENT, "time_points": (_int_from(1), 64)},
 })
 
 # Scenario name -> parser of its section, in the CLI's order.
@@ -376,7 +392,8 @@ SECTIONS = {
             "f1": (_FIELD, REQUIRED), "f2": (_FIELD, REQUIRED),
         }), REQUIRED),
         "forcing": (_FORCING, None), "nonlinearity": (_NONLINEARITY, None),
-        "max_iter": (_int, 30), "tol": (_num, 1e-8), "max_t_halvings": (_int, 0),
+        "max_iter": (_int_from(1), 30), "tol": (_num, 1e-8),
+        "max_t_halvings": (_int_from(0), 0),
     }), _no_semilinear_forcing),
     "norms-report": _obj({"field": (_FIELD, REQUIRED), "norms": (_list_of(_NORM), REQUIRED)}),
 }

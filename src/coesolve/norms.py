@@ -10,9 +10,6 @@ homogeneous but not subadditive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -128,40 +125,3 @@ def trace_space_norms(u0: Field, u1: Field, l: int, p: float, q: float, operator
     x0 = besov_norm(u0, s0, q, p) + _graph_interpolant_norm(u0, operator, th0, q)
     x1 = besov_norm(u1, s1, q, p) + _graph_interpolant_norm(u1, operator, th1, q)
     return float(x0), float(x1)
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A configured norm evaluation: kind plus its exponents.
-
-    Kinds: lp, mixed, sobolev, besov, trace-x0, trace-x1.  Exponents must
-    lie strictly inside (1, inf) for configured reports.
-    """
-
-    kind: str
-    p: float = 2.0
-    q: float = 2.0
-    s: float = 1.0
-    l: int = 1
-    operator: Optional[object] = None
-
-    def __post_init__(self):
-        if self.kind not in ("lp", "mixed", "sobolev", "besov", "trace-x0", "trace-x1"):
-            raise InvalidArgumentError(f"unknown norm kind {self.kind!r}")
-        for name, v in (("p", self.p), ("q", self.q)):
-            if not (1.0 < v < np.inf):
-                raise InvalidArgumentError(f"exponent {name} must lie in (1, inf)")
-
-    def evaluate(self, field: Field) -> float:
-        if self.kind == "lp":
-            return lp_norm(field, self.p)
-        if self.kind == "sobolev":
-            return sobolev_norm(field, self.l, self.p, self.operator)
-        if self.kind == "besov":
-            return besov_norm(field, self.s, self.q, self.p)
-        if self.kind in ("trace-x0", "trace-x1"):
-            if self.operator is None:
-                raise InvalidArgumentError("trace norms need an operator handle")
-            x0, x1 = trace_space_norms(field, field, self.l, self.p, self.q, self.operator)
-            return x0 if self.kind == "trace-x0" else x1
-        raise InvalidArgumentError("mixed norms need explicit (values, dt, h); use mixed_norm")

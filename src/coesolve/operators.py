@@ -9,8 +9,9 @@ The spectral contract: a kind defines how A acts (``apply_many``) and its
 eigenbasis (``diagonalization``).  ``OperatorRealization`` derives the rest
 from those two: batched resolvent solves (A + z)^{-1} w with one shift per
 row, which is what the per-frequency solvers consume, the dense matrix and
-the spectrum.  The dense kind overrides the resolvent with a batched LU
-solve, the one path that also works for a defective A.
+the spectrum.  The resolvent divides in the eigenbasis; only a dense A
+without an accepted eigenbasis (a defective or nearly defective one) falls
+back to a batched LU solve of the shifted dense matrix.
 
 A kind whose eigenbasis transforms are unitary sets ``unitary``: the
 structured kinds, whose ``norm="ortho"`` FFT and DST are.  Such an A is
@@ -41,8 +42,7 @@ EIGENBASIS_COND_LIMIT = 1e6
 
 class OperatorRealization:
     """A kind defines ``dim``, ``apply_many`` and ``diagonalization``; the
-    resolvent, ``as_dense`` and ``eigenvalues`` are derived from them.  The
-    dense kind overrides the resolvent for a defective A (no eigenbasis)."""
+    resolvent, ``as_dense`` and ``eigenvalues`` are derived from them."""
 
     kind = "abstract"
     # True when ``diagonalization`` transforms are unitary (see the module docstring).
@@ -71,10 +71,22 @@ class OperatorRealization:
 
         Divides by lambda_j + z_i in the eigenbasis.  A quotient whose
         denominator is lost to rounding, |lambda_j + z_i| <= 4 eps
-        (|lambda_j| + |z_i|), raises ``SingularResolventError``.
+        (|lambda_j| + |z_i|), raises ``SingularResolventError``.  Without an
+        eigenbasis, each row is an LU solve of the shifted ``as_dense()``,
+        and a singular one raises the same error.
         """
-        z_rows, w_rows = _shift_rows(z_rows, w_rows)
-        fwd, inv, eigs = self.diagonalization()
+        z_rows = np.asarray(z_rows, dtype=complex)
+        w_rows = np.asarray(w_rows, dtype=complex)
+        if w_rows.ndim != 2 or z_rows.shape != w_rows.shape[:1]:
+            raise InvalidArgumentError("one shift per right-hand-side row required")
+        diag = self.diagonalization()
+        if diag is None:
+            shifted = self.as_dense()[None] + z_rows[:, None, None] * np.eye(self.dim)[None]
+            try:
+                return np.linalg.solve(shifted, w_rows[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularResolventError(str(exc)) from exc
+        fwd, inv, eigs = diag
         return inv(fwd(w_rows) / _shifted_spectrum(eigs, z_rows))
 
     def resolvent_eigenvalues(self, z):
@@ -109,15 +121,6 @@ def _shifted_spectrum(eigs, z_rows):
     return den
 
 
-def _shift_rows(z_rows, w_rows):
-    """Complex (m,) shifts and (m, dim) right-hand sides, one shift per row."""
-    z_rows = np.asarray(z_rows, dtype=complex)
-    w_rows = np.asarray(w_rows, dtype=complex)
-    if w_rows.ndim != 2 or z_rows.shape != w_rows.shape[:1]:
-        raise InvalidArgumentError("one shift per right-hand-side row required")
-    return z_rows, w_rows
-
-
 class DenseMatrixOperator(OperatorRealization):
     """A given by an explicit complex matrix with spectrum in the open right half-plane."""
 
@@ -127,13 +130,13 @@ class DenseMatrixOperator(OperatorRealization):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("dense operator needs a square matrix")
-        eigs = np.linalg.eigvals(m)
+        eigs, vecs = np.linalg.eig(m)
         if np.any(eigs.real <= 0):
             raise InvalidArgumentError(
                 "dense operator must have eigenvalues with positive real part"
             )
         self._m = m
-        self._eigs = eigs
+        self._eigs, self._vecs = eigs, vecs
 
     @classmethod
     def from_csv(cls, path):
@@ -156,27 +159,18 @@ class DenseMatrixOperator(OperatorRealization):
     def apply_many(self, rows):
         return np.asarray(rows, dtype=complex) @ self._m.T
 
-    def resolvent_solve_many(self, z_rows, w_rows):
-        z_rows, w_rows = _shift_rows(z_rows, w_rows)
-        shifted = self._m[None, :, :] + z_rows[:, None, None] * np.eye(self.dim)[None]
-        try:
-            return np.linalg.solve(shifted, w_rows[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolventError(str(exc)) from exc
-
-    def as_dense(self):
-        return self._m.copy()
-
     def eigenvalues(self):
+        # kept for a defective A, which has no diagonalization to derive them from
         return self._eigs.copy()
 
     @functools.cached_property
     def _eigenbasis(self):
-        """(eigs, V^T, V^{-T}) from one ``eig`` of A; None if cond(V) fails the guard."""
-        eigs, vecs = np.linalg.eig(self._m)
+        """(eigs, V^T, V^{-T}) from the ``eig`` of A taken at construction;
+        None if cond(V) fails the guard."""
+        vecs = self._vecs
         if not np.linalg.cond(vecs) <= EIGENBASIS_COND_LIMIT:
             return None
-        return eigs, vecs.T, np.linalg.inv(vecs).T
+        return self._eigs, vecs.T, np.linalg.inv(vecs).T
 
     def diagonalization(self):
         if self._eigenbasis is None:

@@ -211,21 +211,17 @@ class MultiplierFamily:
     def matrix(self, xi: float):
         """Dense matrix symbol at one frequency (requires ``operator``).
 
-        A ``unitary`` operator kind conjugates ``diagonal(xi)`` back through
-        its eigenbasis; any other kind inverts the shifted dense matrix.
+        Row j of ``resolvent_solve_many`` on the identity is column j of
+        (A + eta + lambda)^{-1}, so the operator's one resolvent builds the
+        transpose, which ``apply_many`` composes with A for indices 2 and 4.
         """
         op = self._operator()
-        if op.unitary:
-            fwd, inv, _ = op.diagonalization()
-            return inv(self.diagonal(xi) * fwd(np.eye(op.dim))).T
-        a = op.as_dense()
         eta = complex(reduced_symbol(self.symbols, float(xi)))
-        shifted = a + (eta + self.lam) * np.eye(a.shape[0])
-        res = np.linalg.inv(shifted)
-        out = complex(self.prefactor(float(xi))) * res
+        rows = op.resolvent_solve_many(np.full(op.dim, eta + self.lam), np.eye(op.dim))
+        rows = complex(self.prefactor(float(xi))) * rows
         if composes_with_operator(self.index):
-            out = a @ out
-        return out
+            rows = op.apply_many(rows)
+        return rows.T
 
 
 def make_xi_grid(lo: float = 1e-3, hi: float = 1e3, per_side: int = 1200):

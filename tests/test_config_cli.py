@@ -165,6 +165,16 @@ BAD_EDITS = [
     # operator-mode weights on a Jordan block, which has no eigenbasis
     ("example-4.4", ("problem", "operator"), {"kind": "dense-matrix", "matrix": [[1, 1], [0, 1]]},
      "solve-parabolic.initial.weights"),
+    # ranges of the norm exponents, the Picard loop and the family indices
+    ("norms-gaussian", ("norms-report", "norms", 0, "p"), 0.5, "norms-report.norms[0].p"),
+    ("norms-gaussian", ("norms-report", "norms", 4, "q"), 0.5, "norms-report.norms[4].q"),
+    ("norms-gaussian", ("norms-report", "norms", 2, "s"), -1, "norms-report.norms[2].s"),
+    ("norms-gaussian", ("norms-report", "norms", 3, "p"), 1.0, "norms-report.norms[3].p"),
+    ("norms-gaussian", ("norms-report", "norms", 3, "l"), 0, "norms-report.norms[3].l"),
+    ("norms-gaussian", ("norms-report", "norms", 1, "l"), -1, "norms-report.norms[1].l"),
+    ("problem-4.6", ("solve-elliptic", "max_iter"), 0, "solve-elliptic.max_iter"),
+    ("problem-4.6", ("solve-elliptic", "max_t_halvings"), -1, "solve-elliptic.max_t_halvings"),
+    ("example-4.3-mikhlin", ("mikhlin", "families"), [7], "mikhlin.families[0]"),
 ]
 
 

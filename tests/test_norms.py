@@ -7,7 +7,6 @@ import pytest
 from coesolve import (
     Field,
     Grid,
-    NormSpec,
     band_limited_random,
     besov_norm,
     lp_norm,
@@ -268,49 +267,3 @@ def test_trace_x1_smaller_than_x0_for_smooth_data():
     op = DenseMatrixOperator(np.array([[1.0]]))
     x0, x1 = trace_space_norms(f, f, l=4, p=2.0, q=2.0, operator=op)
     assert x1 < x0
-
-
-# ---------------------------------------------------------------------------
-# NormSpec
-# ---------------------------------------------------------------------------
-
-
-def test_norm_spec_evaluation_matches_direct_calls():
-    grid = Grid(half_width=16.0, n=512)
-    f = gaussian_field(grid)
-    op = DenseMatrixOperator(np.array([[1.0]]))
-    assert NormSpec("lp", p=2.0).evaluate(f) == pytest.approx(lp_norm(f, 2.0))
-    assert NormSpec("sobolev", l=2, p=2.0, operator=op).evaluate(f) == pytest.approx(
-        sobolev_norm(f, l=2, p=2.0, operator=op)
-    )
-    assert NormSpec("besov", s=1.0, p=2.0, q=2.0).evaluate(f) == pytest.approx(
-        besov_norm(f, s=1.0, q=2.0, p=2.0)
-    )
-    spec = NormSpec("trace-x0", l=4, p=2.0, q=2.0, operator=op)
-    x0, _ = trace_space_norms(f, f, l=4, p=2.0, q=2.0, operator=op)
-    assert spec.evaluate(f) == pytest.approx(x0)
-
-
-def test_norm_spec_validation():
-    with pytest.raises(InvalidArgumentError):
-        NormSpec("unknown-norm", p=2.0)
-    with pytest.raises(InvalidArgumentError):
-        NormSpec("besov", s=1.0, p=1.0, q=2.0)  # exponents must lie in (1, inf)
-    with pytest.raises(InvalidArgumentError):
-        NormSpec("lp", p=np.inf)
-
-
-def test_norm_spec_trace_needs_operator_at_evaluation():
-    grid = Grid(half_width=4.0, n=32)
-    f = Field(grid, np.ones(32, dtype=complex))
-    spec = NormSpec("trace-x0", l=2, p=2.0, q=2.0)
-    with pytest.raises(InvalidArgumentError):
-        spec.evaluate(f)
-
-
-def test_norm_spec_mixed_requires_space_time_data():
-    grid = Grid(half_width=4.0, n=32)
-    f = Field(grid, np.ones(32, dtype=complex))
-    spec = NormSpec("mixed", p=2.0, q=2.0)
-    with pytest.raises(InvalidArgumentError):
-        spec.evaluate(f)

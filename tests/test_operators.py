@@ -3,7 +3,7 @@ positivity scans, and the CSV loader."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coesolve import Sector
 from coesolve.errors import InvalidArgumentError, SingularResolventError
@@ -242,6 +242,127 @@ def test_defective_dense_operator_has_no_diagonalization():
     assert DenseMatrixOperator(np.array([[1.0, 1.0], [0.0, 1.0]])).diagonalization() is None
     # distinct eigenvalues give a well-conditioned basis, non-normal or not
     assert DenseMatrixOperator(np.array([[1.0, 1.0], [0.0, 2.0]])).diagonalization() is not None
+
+
+# ---------------------------------------------------------------------------
+# the dense kind through the shared resolvent
+# ---------------------------------------------------------------------------
+
+
+def _unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+@st.composite
+def graded_non_normal_matrices(draw):
+    """Q T Q^H, T upper triangular with distinct eigenvalues in the right
+    half-plane and its strictly upper part scaled so that cond(V) lands near
+    10^k, k uniform in [0, 5.9]: from normal to just inside the
+    ``EIGENBASIS_COND_LIMIT`` guard."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = np.diag(0.5 + np.cumsum(rng.uniform(0.1, 0.6, d)) + 1j * rng.uniform(-1.0, 1.0, d))
+    upper = np.triu(rng.uniform(0.1, 1.0, (d, d)) * np.exp(2j * np.pi * rng.random((d, d))), 1)
+    goal = 10.0 ** rng.uniform(0.0, 5.9)
+    lo, hi = -3.0, 6.0  # bisect log10 of the scale of the upper part
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        cond = np.linalg.cond(np.linalg.eig(diag + 10.0**mid * upper)[1])
+        lo, hi = (mid, hi) if cond < goal else (lo, mid)
+    q = _unitary(rng, d)
+    return q @ (diag + 10.0**lo * upper) @ q.conj().T
+
+
+@st.composite
+def jordan_blocks(draw):
+    """lambda I + c N with N the nilpotent shift, optionally hidden by a unitary Q."""
+    d = draw(st.integers(2, 6))
+    lam = complex(draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0)))
+    a = lam * np.eye(d) + draw(st.floats(0.5, 2.0)) * np.eye(d, k=1)
+    if draw(st.booleans()):
+        q = _unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+        a = q @ a @ q.conj().T
+    return a
+
+
+def _shifts_and_rows(draw, d):
+    m = draw(st.integers(1, 6))
+    moduli = draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+    args = draw(st.lists(st.floats(-0.5 * np.pi, 0.5 * np.pi), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zs = np.array([r * np.exp(1j * a) for r, a in zip(moduli, args)])
+    return zs, rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+
+
+@settings(max_examples=120)
+@given(a=graded_non_normal_matrices(), data=st.data())
+def test_dense_eigen_divide_has_a_small_backward_error(a, data):
+    """Dividing in an eigenbasis with cond(V) <= 1e6 loses at most about
+    cond(V) eps: the normwise backward error of every solve stays below
+    1e-9.  (The residual over ||w|| alone also carries cond(A + z), which
+    reaches 1e10 on these matrices, so no solver keeps that below 1e-9.)"""
+    op = DenseMatrixOperator(a)
+    assume(op.diagonalization() is not None)
+    zs, w = _shifts_and_rows(data.draw, op.dim)
+    x = op.resolvent_solve_many(zs, w)
+    for z, wi, xi in zip(zs, w, x):
+        shifted = a + z * np.eye(op.dim)
+        residual = np.linalg.norm(shifted @ xi - wi)
+        scale = np.linalg.norm(shifted, 2) * np.linalg.norm(xi) + np.linalg.norm(wi)
+        assert residual <= 1e-9 * scale
+
+
+@settings(max_examples=40)
+@given(a=jordan_blocks(), data=st.data())
+def test_defective_dense_resolvent_is_the_lu_solve(a, data):
+    op = DenseMatrixOperator(a)
+    assert op.diagonalization() is None
+    zs, w = _shifts_and_rows(data.draw, op.dim)
+    got = op.resolvent_solve_many(zs, w)
+    for z, wi, gi in zip(zs, w, got):
+        ref = np.linalg.solve(a + z * np.eye(op.dim), wi)
+        assert np.linalg.norm(gi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_defective_dense_resolvent_at_its_eigenvalue_is_singular():
+    op = DenseMatrixOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(SingularResolventError):
+        op.resolvent_solve_many([2.0, -1.0], np.ones((2, 2)))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("forbidden path taken")
+
+
+def test_diagonalizable_dense_resolvent_takes_no_lu_solve(monkeypatch):
+    rng = np.random.default_rng(4)
+    t = np.diag([1.0, 1.5 + 0.5j, 2.0 - 0.5j, 3.0]) + np.triu(rng.standard_normal((4, 4)), 1)
+    monkeypatch.setattr(np.linalg, "solve", _forbidden)
+    op = DenseMatrixOperator(t)
+    w = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    zs = np.array([0.1, 2.0 + 1.0j, 50.0])
+    x = op.resolvent_solve_many(zs, w)
+    assert np.allclose(op.apply_many(x) + zs[:, None] * x, w, rtol=0.0, atol=1e-12)
+
+
+def test_dense_operator_takes_one_eig(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted_eig(m):
+        calls.append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", _forbidden)
+    a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [0.5, 0.0, 4.0]])
+    op = DenseMatrixOperator(a)
+    fwd, inv, eigs = op.diagonalization()
+    assert np.array_equal(op.eigenvalues(), eigs)
+    op.resolvent_solve_many([1.0, 2.0], np.ones((2, 3)))
+    op.diagonalization()
+    assert calls == [(3, 3)]
 
 
 # ---------------------------------------------------------------------------
