@@ -3,27 +3,34 @@
 The elliptic equation -u_tt + L_x u = f decouples per x-frequency into a
 two-point BVP -v'' + M_j v = g with Robin rows alpha u + beta u' = data at
 both ends.  Time is discretized by second-order centered differences with
-one-sided second-order stencils in the boundary rows.  In the eigenbasis of A
-each frequency splits into scalar banded systems; a dense A without a
-well-conditioned eigenbasis falls back to one block system per frequency.
-Semilinear right-hand sides are handled by Picard iteration.
+one-sided second-order stencils in the boundary rows.  The solve is the
+tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer. Math.
+6, 1964): the boundary values are eliminated, the m x m interior t-operator
+is diagonalized once, and every (frequency, t-mode) pair becomes one
+shifted resolvent solve of A, for every operator kind through
+``OperatorRealization.resolvent_solve_many``.  Semilinear right-hand sides
+are handled by Picard iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateBoundaryError, InvalidArgumentError
 from .evolution import Nonlinearity
 from .grids import Field, Grid
+from .operators import EIGENBASIS_COND_LIMIT
 from .output import field_table, write_csv
 from .solver import DiscretizedProblem
 
 DEGENERACY_FLOOR = 1e-12
+# Largest ||row of K_bb^{-1} K_bu||_1 that ``_t_modes`` accepts.  Against a
+# dense solve of the whole system the scaled error grew as about 1e-16 times
+# this norm (up to 9e-11 at 1.7e6, 1.5e-8 at 1.7e8), so it stays below 1e-9.
+BOUNDARY_AMPLIFICATION_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -122,69 +129,52 @@ def _normalize_forcing(problem, tgrid, forcing) -> Optional[np.ndarray]:
 
 def _boundary_rows(bc: BoundaryConditions, dt: float):
     """Coefficients of the two one-sided second-order boundary rows."""
-    r0 = (
-        bc.alpha1 - 1.5 * bc.beta1 / dt,
-        2.0 * bc.beta1 / dt,
-        -0.5 * bc.beta1 / dt,
-    )
-    r1 = (
-        bc.alpha2 + 1.5 * bc.beta2 / dt,
-        -2.0 * bc.beta2 / dt,
-        0.5 * bc.beta2 / dt,
-    )
+    b1, b2 = bc.beta1, bc.beta2
+    r0 = (bc.alpha1 - 1.5 * b1 / dt, 2.0 * b1 / dt, -0.5 * b1 / dt)
+    r1 = (bc.alpha2 + 1.5 * b2 / dt, -2.0 * b2 / dt, 0.5 * b2 / dt)
     return r0, r1
 
 
-def _solve_scalar_bvp(m_vals, rhs, bc, dt):
-    """Banded solves of the scalar two-point systems.
+def _t_modes(bc: BoundaryConditions, tgrid: TGrid):
+    """Eigenbasis of the t-operator once the boundary rows are eliminated.
 
-    m_vals: (k,) shifts; rhs: (k, m+2) right sides (row 0 and -1 hold the
-    boundary data).  Returns (k, m+2) solutions.
+    The boundary rows read K_bb (u(0), u(T)) + K_bu u_int = (f1, f2), with
+    K_bb diagonal for m >= 2 (coupled at m = 1).  Substituting the boundary
+    values into -v'' leaves K_int = K_ii - K_ib K_bb^{-1} K_bu on the m
+    interior nodes, and one ``eig`` gives K_int = W diag(kappa) W^{-1}.
+    Returns (kappa, W, W^{-1}, K_ib, K_bb^{-1}, K_bu).
+
+    Raises ``DegenerateBoundaryError`` where the eliminated system loses
+    accuracy: a row that does not determine its boundary value, ||row of
+    K_bb^{-1} K_bu||_1 > ``BOUNDARY_AMPLIFICATION_LIMIT`` (a row with no
+    u(0) or u(T) term leaves the pencil without a t-eigenbasis), or cond(W) >
+    ``EIGENBASIS_COND_LIMIT`` (K_int at or near a defective matrix, which
+    complex Robin rows can reach).
     """
-    k, npts = rhs.shape
-    (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
-    idt2 = 1.0 / dt**2
-    out = np.empty_like(rhs)
-    ab = np.zeros((5, npts), dtype=complex)
-    for i in range(k):
-        ab[:] = 0.0
-        # interior rows: -v'' + m v
-        ab[1, 2:] = -idt2  # superdiagonal entries a[j, j+1]
-        ab[2, 1:-1] = 2.0 * idt2 + m_vals[i]  # diagonal
-        ab[3, :-2] = -idt2  # subdiagonal a[j, j-1]
-        # boundary rows overwrite
-        ab[2, 0] = c00
-        ab[1, 1] = c01
-        ab[0, 2] = c02
-        ab[2, -1] = c10
-        ab[3, -2] = c11
-        ab[4, -3] = c12
-        out[i] = scipy.linalg.solve_banded((2, 2), ab, rhs[i])
-    return out
-
-
-def _solve_block_bvp(m_mat, rhs, bc, dt):
-    """Dense block solve of one frequency (fallback for A without an eigenbasis)."""
-    npts, d = rhs.shape
-    (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
-    idt2 = 1.0 / dt**2
-    eye = np.eye(d)
-    size = npts * d
-    sys = np.zeros((size, size), dtype=complex)
-    for i in range(1, npts - 1):
-        r = slice(i * d, (i + 1) * d)
-        sys[r, (i - 1) * d : i * d] = -idt2 * eye
-        sys[r, i * d : (i + 1) * d] = 2.0 * idt2 * eye + m_mat
-        sys[r, (i + 1) * d : (i + 2) * d] = -idt2 * eye
-    sys[0:d, 0:d] = c00 * eye
-    sys[0:d, d : 2 * d] = c01 * eye
-    sys[0:d, 2 * d : 3 * d] = c02 * eye
-    last = slice((npts - 1) * d, npts * d)
-    sys[last, (npts - 1) * d : npts * d] = c10 * eye
-    sys[last, (npts - 2) * d : (npts - 1) * d] = c11 * eye
-    sys[last, (npts - 3) * d : (npts - 2) * d] = c12 * eye
-    sol = np.linalg.solve(sys, rhs.reshape(size))
-    return sol.reshape(npts, d)
+    m = tgrid.m
+    (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, tgrid.dt)
+    rows = np.zeros((2, m + 2), dtype=complex)
+    rows[0, :3] = c00, c01, c02
+    rows[1, -3:] = c12, c11, c10
+    k_bb, k_bu = rows[:, [0, -1]], rows[:, 1:-1]
+    adj = np.array([[k_bb[1, 1], -k_bb[0, 1]], [-k_bb[1, 0], k_bb[0, 0]]])
+    det = k_bb[0, 0] * k_bb[1, 1] - k_bb[0, 1] * k_bb[1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.abs(adj @ k_bu).sum(axis=1) / abs(det)
+    if not np.all(amp <= BOUNDARY_AMPLIFICATION_LIMIT):  # 0/0 fails too
+        k = int(np.argmax(np.nan_to_num(amp, nan=0.0)))
+        raise DegenerateBoundaryError(
+            f"boundary row {k} does not determine u({('0', 'T')[k]}): "
+            f"amplification {amp[k]:.3g} exceeds {BOUNDARY_AMPLIFICATION_LIMIT:g}"
+        )
+    k_bb_inv = adj / det
+    eye = lambda k: np.eye(m, m + 2, k)
+    second = (2.0 * eye(1) - eye(0) - eye(2)) / tgrid.dt**2  # -v'' on interior rows
+    k_ib = second[:, [0, -1]]
+    kappa, w = np.linalg.eig(second[:, 1:-1] - k_ib @ k_bb_inv @ k_bu)
+    if not np.linalg.cond(w) <= EIGENBASIS_COND_LIMIT:
+        raise DegenerateBoundaryError("the t-operator has no well-conditioned eigenbasis")
+    return kappa, w, np.linalg.inv(w), k_ib, k_bb_inv, k_bu
 
 
 def solve_bvp_linear(
@@ -196,52 +186,32 @@ def solve_bvp_linear(
     """Solve -u_tt + L_x u = f on the strip with Robin boundary rows.
 
     ``forcing`` is None, an (m+2, n, dim) array, or a callable t -> (n, dim)
-    samples.  Each frequency reduces to scalar banded solves in the eigenbasis
-    of A; block solves are the fallback for a dense A without one.
+    samples.  After the FFT in x and the t-eigenbasis of ``_t_modes``, every
+    (frequency j, t-mode k) pair is one resolvent solve
+    den_j (A + eta_j + kappa_k / den_j) w = h, all in one
+    ``resolvent_solve_many`` call.
     """
     problem.require_checked()
     if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
         raise DegenerateBoundaryError("boundary rows have vanishing determinant")
     problem.validate_field(bc.f1)
     problem.validate_field(bc.f2)
-    n, d = problem.grid.n, problem.operator.dim
-    npts = tgrid.m + 2
-    dt = tgrid.dt
+    n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
+    kappa, w, w_inv, k_ib, k_bb_inv, k_bu = _t_modes(bc, tgrid)
 
     garr = _normalize_forcing(problem, tgrid, forcing)
     den = problem.denominator_on_grid()
     eta = problem.eta_on_grid()
-    f1h = np.fft.fft(bc.f1.values, axis=0)
-    f2h = np.fft.fft(bc.f2.values, axis=0)
-    gh = None if garr is None else np.fft.fft(garr, axis=1)
-
-    diag = problem.operator.diagonalization()
-    uh = np.empty((npts, n, d), dtype=complex)
-    if diag is not None:
-        fwd, inv, eigs = diag
-        f1w, f2w = fwd(f1h), fwd(f2h)
-        gw = None if gh is None else fwd(gh)
-        shifts = den[:, None] * (eigs[None, :] + eta[:, None])  # (n, d)
-        rhs = np.zeros((n * d, npts), dtype=complex)
-        rhs[:, 0] = f1w.reshape(-1)
-        rhs[:, -1] = f2w.reshape(-1)
-        if gw is not None:
-            rhs[:, 1:-1] = gw[1:-1].transpose(1, 2, 0).reshape(n * d, npts - 2)
-        sols = _solve_scalar_bvp(shifts.reshape(-1), rhs, bc, dt)
-        uw = sols.reshape(n, d, npts).transpose(2, 0, 1)
-        uh[:] = inv(uw)
-    else:
-        a = problem.operator.as_dense()
-        eye = np.eye(d)
-        for j in range(n):
-            rhs = np.zeros((npts, d), dtype=complex)
-            rhs[0] = f1h[j]
-            rhs[-1] = f2h[j]
-            if gh is not None:
-                rhs[1:-1] = gh[1:-1, j, :]
-            m_mat = den[j] * (a + eta[j] * eye)
-            uh[:, j, :] = _solve_block_bvp(m_mat, rhs, bc, dt)
-
+    fb = np.fft.fft(np.stack([bc.f1.values, bc.f2.values]), axis=1).reshape(2, n * d)
+    rhs = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
+    if garr is not None:
+        rhs += np.fft.fft(garr[1:-1], axis=1).reshape(m, n * d)
+    hw = (w_inv @ rhs).reshape(m, n, d) / den[None, :, None]
+    z = eta[None, :] + kappa[:, None] / den[None, :]
+    vw = problem.operator.resolvent_solve_many(z.reshape(-1), hw.reshape(m * n, d))
+    interior = w @ vw.reshape(m, n * d)
+    ends = k_bb_inv @ (fb - k_bu @ interior)
+    uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, n, d)
     values = np.fft.ifft(uh, axis=1)
     return StripField(tgrid=tgrid, grid=problem.grid, values=values)
 

@@ -7,15 +7,15 @@ object) and its default, or marking it REQUIRED.  Unknown keys, wrong types
 and broken cross-key rules raise ``ConfigError`` naming the innermost dotted
 path of the offender, and so do the range limits the library would reject
 later (``m >= 1``, ``trials >= 100``, ``xi_points_per_side >= 2``,
-``max_mode`` below half the grid, ``max_iter >= 1``, norm exponents,
-multiplier family indices).  Complex scalars are plain numbers or [re, im] pairs;
+``max_mode`` below half the grid, ``max_iter >= 1``, positive tolerances,
+norm exponents, multiplier family indices, and lambdas inside the sector
+every solve and estimate is gated on).  Complex scalars are plain numbers or [re, im] pairs;
 a null value counts as absent.  Randomized constructs (band-limited fields,
 R-bound trials) draw from a generator seeded by the run seed only.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
@@ -26,7 +26,7 @@ from .grids import Field, Grid, band_limited_random
 from .kernels import KERNEL_KINDS, Kernel
 from .operators import OperatorRealization, make_operator
 from .solver import DiscretizedProblem
-from .symbols import Sector, SymbolSet
+from .symbols import DEFAULT_LAMBDA_SECTOR, Sector, SymbolSet
 
 REQUIRED = object()  # schema default of a key that must be given
 
@@ -92,6 +92,13 @@ def _cnum(v, path) -> complex:
     if not (_is_num(re) and _is_num(im)):
         raise ConfigError("expected a number or [re, im] pair", path)
     return complex(re, im)
+
+
+def _lam(v, path) -> complex:  # in the sector every solve and estimate is gated on
+    z = _cnum(v, path)
+    if not DEFAULT_LAMBDA_SECTOR.contains(z):
+        raise ConfigError(f"expected a lambda with |arg| <= {DEFAULT_LAMBDA_SECTOR.angle:g}", path)
+    return z
 
 
 def _list_of(item):
@@ -351,7 +358,7 @@ _NONLINEARITY = _then(
     }),
     _nonlinearity,
 )
-_LAMBDAS = (_cnum_list, REQUIRED)
+_LAMBDAS = (_list_of(_lam), REQUIRED)
 _EXPONENT = (_num_above(1.0), 2.0)  # p, q >= 1; the trace spaces need p > 1
 _NORM = _kinds({
     "lp": {"p": _EXPONENT},
@@ -366,10 +373,10 @@ _NORM = _kinds({
 # Scenario name -> parser of its section, in the CLI's order.
 SECTIONS = {
     "check-condition": _obj({
-        "sector_angle": (_then(_num, lambda v, path: Sector(v)), math.pi / 2),
+        "sector_angle": (_then(_num, lambda v, path: Sector(v)), DEFAULT_LAMBDA_SECTOR.angle),
         "xi_points_per_side": (_int_from(2), 1200),
     }),
-    "solve-linear": _obj({"forcing": (_FIELD, REQUIRED), "lambda": (_cnum, 0.0)}),
+    "solve-linear": _obj({"forcing": (_FIELD, REQUIRED), "lambda": (_lam, 0.0)}),
     "lambda-sweep": _obj({"forcing": (_FIELD, REQUIRED), "lambdas": _LAMBDAS}),
     "mikhlin": _obj(
         {"lambdas": _LAMBDAS, "families": (_list_of(_family), [0, 1, 2, 3, 4, "sigma"])}
@@ -382,8 +389,8 @@ SECTIONS = {
         "t_final": (_pos, REQUIRED), "dt": (_pos, REQUIRED), "initial": (_FIELD, REQUIRED),
         "forcing": (_FORCING, None), "nonlinearity": (_NONLINEARITY, None),
         "store_every": (_int_from(0), 0),
-        "blowup_threshold": (_num, DEFAULT_BLOWUP_THRESHOLD),
-        "step_tol": (_num, DEFAULT_STEP_TOL),
+        "blowup_threshold": (_pos, DEFAULT_BLOWUP_THRESHOLD),
+        "step_tol": (_pos, DEFAULT_STEP_TOL),
     }), _whole_steps),
     "solve-elliptic": _then(_obj({
         "t_final": (_pos, REQUIRED), "m": (_int_from(1), REQUIRED),
@@ -392,7 +399,7 @@ SECTIONS = {
             "f1": (_FIELD, REQUIRED), "f2": (_FIELD, REQUIRED),
         }), REQUIRED),
         "forcing": (_FORCING, None), "nonlinearity": (_NONLINEARITY, None),
-        "max_iter": (_int_from(1), 30), "tol": (_num, 1e-8),
+        "max_iter": (_int_from(1), 30), "tol": (_pos, 1e-8),
         "max_t_halvings": (_int_from(0), 0),
     }), _no_semilinear_forcing),
     "norms-report": _obj({"field": (_FIELD, REQUIRED), "norms": (_list_of(_NORM), REQUIRED)}),

@@ -203,10 +203,6 @@ class PeriodicSturmLiouvilleOperator(OperatorRealization):
     def dim(self):
         return self._n
 
-    @property
-    def shift(self):
-        return self._b
-
     def apply_many(self, rows):
         rows = np.asarray(rows, dtype=complex)
         n2 = float(self._n) ** 2

@@ -13,7 +13,7 @@ gated on a stored admissibility report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .norms import lp_norm, sobolev_norm
 from .operators import OperatorRealization
 from .output import write_csv
 from .symbols import (
+    DEFAULT_LAMBDA_SECTOR,
     ConditionReport,
     Sector,
     SymbolSet,
@@ -50,7 +51,7 @@ class DiscretizedProblem:
     grid: Grid
     p: float = 2.0
     condition_report: Optional[ConditionReport] = None
-    lambda_sector: Sector = dc_field(default_factory=lambda: Sector(math.pi / 2))
+    lambda_sector: Sector = DEFAULT_LAMBDA_SECTOR
 
     def __post_init__(self):
         if not self.p >= 1:

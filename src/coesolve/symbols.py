@@ -50,6 +50,10 @@ class Sector:
         return abs(cmath.phase(z)) <= self.angle + self.angle_tol
 
 
+# The lambda sector a DiscretizedProblem is checked on unless told otherwise.
+DEFAULT_LAMBDA_SECTOR = Sector(math.pi / 2)
+
+
 @dataclass(frozen=True)
 class SymbolSet:
     """Coefficients of one operator equation.
@@ -284,7 +288,7 @@ def _derivative_sup(kernel: Kernel, xi):
 def check_symbol_conditions(
     symbols: SymbolSet,
     xi_grid=None,
-    lambda_sector: Sector = Sector(math.pi / 2),
+    lambda_sector: Sector = DEFAULT_LAMBDA_SECTOR,
 ) -> ConditionReport:
     """Run the four admissibility clauses on a frequency grid.
 

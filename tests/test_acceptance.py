@@ -9,7 +9,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from coesolve import (

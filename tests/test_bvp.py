@@ -1,8 +1,13 @@
 """Two-point boundary value problems on the strip: nondegeneracy gating,
-discretization order, residuals, Picard iteration with strip shortening."""
+discretization order, residuals, the dense-assembly oracle of the
+t-eigenbasis solve, Picard iteration with strip shortening."""
+
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from coesolve import (
     BoundaryConditions,
@@ -19,9 +24,16 @@ from coesolve import (
     solve_bvp_linear,
     solve_bvp_semilinear,
 )
-from coesolve.bvp import _boundary_rows
+from coesolve.bvp import BOUNDARY_AMPLIFICATION_LIMIT, _boundary_rows
+from coesolve.cli import main
 from coesolve.errors import DegenerateBoundaryError, InvalidArgumentError
-from coesolve.operators import DenseMatrixOperator, PeriodicSturmLiouvilleOperator
+from coesolve.operators import (
+    DenseMatrixOperator,
+    DirichletLaplacian2D,
+    OperatorRealization,
+    PeriodicSturmLiouvilleOperator,
+)
+from coesolve.presets import get_preset
 
 
 def scalar_problem(half_width=np.pi, n=16, a=1.0):
@@ -39,6 +51,37 @@ def cos_field(grid, amp=1.0):
 
 def zero_field(grid, dim=1):
     return Field(grid, np.zeros((grid.n, dim), dtype=complex))
+
+
+def dense_bvp_oracle(problem, bc, tgrid, forcing=None):
+    """The whole discrete system, every node, frequency and component at
+    once, assembled with ``np.kron`` and solved densely; returns the
+    (m+2, n, dim) solution in x."""
+    n, d, m, dt = problem.grid.n, problem.operator.dim, tgrid.m, tgrid.dt
+    (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
+    t_rows = np.zeros((m + 2, m + 2), dtype=complex)  # boundary rows and -v''
+    t_rows[0, :3] = c00, c01, c02
+    t_rows[-1, -3:] = c12, c11, c10
+    i = np.arange(1, m + 1)
+    t_rows[i, i - 1] = t_rows[i, i + 1] = -1.0 / dt**2
+    t_rows[i, i] = 2.0 / dt**2
+    den, eta = problem.denominator_on_grid(), problem.eta_on_grid()
+    m_blocks = np.kron(np.diag(den), problem.operator.as_dense()) + np.kron(
+        np.diag(den * eta), np.eye(d)
+    )
+    interior = np.diag(np.r_[0.0, np.ones(m), 0.0])
+    system = np.kron(t_rows, np.eye(n * d)) + np.kron(interior, m_blocks)
+    rhs = np.zeros((m + 2, n, d), dtype=complex)
+    if forcing is not None:
+        rhs[:] = np.fft.fft(forcing, axis=1)
+    rhs[0] = np.fft.fft(bc.f1.values, axis=0)
+    rhs[-1] = np.fft.fft(bc.f2.values, axis=0)
+    uh = np.linalg.solve(system, rhs.reshape(-1)).reshape(m + 2, n, d)
+    return np.fft.ifft(uh, axis=1)
+
+
+def scaled_gap(x, ref):
+    return np.max(np.abs(x - ref)) / max(1.0, np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,36 +145,19 @@ def test_strip_time_derivative_exact_on_quadratics():
 
 
 def test_single_mode_matches_dense_assembly_oracle():
-    """Assemble the (m+2) x (m+2) one-frequency system directly with the
-    same second-order rows and compare solutions."""
+    """One cosine mode in x with Robin rows at both ends and a forcing
+    profile in t, against the assembled system."""
     prob = scalar_problem()
     tg = TGrid(1.0, 12)
-    dt = tg.dt
-    npts = tg.m + 2
-    big_m = 2.0  # A + eta = 1 + 1 on every frequency
     f1 = cos_field(prob.grid, amp=0.7)
     f2 = cos_field(prob.grid, amp=-0.2)
     bc = BoundaryConditions(1.0, 0.5, 0.3, 1.0, f1=f1, f2=f2)
     g_profile = np.sin(np.pi * tg.t)  # forcing amplitude per time node
-    forcing = g_profile[:, None, None] * np.cos(prob.grid.x)[None, :, None]
+    forcing = (g_profile[:, None, None] * np.cos(prob.grid.x)[None, :, None]).astype(complex)
 
-    u = solve_bvp_linear(prob, bc, tg, forcing=forcing.astype(complex))
+    u = solve_bvp_linear(prob, bc, tg, forcing=forcing)
 
-    (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
-    mat = np.zeros((npts, npts), dtype=complex)
-    rhs = np.zeros(npts, dtype=complex)
-    mat[0, :3] = [c00, c01, c02]
-    rhs[0] = 0.7
-    for i in range(1, npts - 1):
-        mat[i, i - 1 : i + 2] = [-1.0 / dt**2, 2.0 / dt**2 + big_m, -1.0 / dt**2]
-        rhs[i] = g_profile[i]
-    mat[-1, -3:] = [c12, c11, c10]
-    rhs[-1] = -0.2
-    amp_oracle = np.linalg.solve(mat, rhs)
-
-    cosx = np.cos(prob.grid.x)
-    amps = (u.values[:, :, 0].real @ cosx) / (cosx @ cosx)
-    assert np.allclose(amps, amp_oracle.real, atol=1e-11)
+    assert np.max(np.abs(u.values - dense_bvp_oracle(prob, bc, tg, forcing))) < 1e-11
     assert np.max(np.abs(u.values.imag)) < 1e-11
 
 
@@ -219,8 +245,8 @@ def test_zero_data_gives_zero_solution():
 
 
 def test_diagonalized_and_dense_paths_agree(monkeypatch):
-    """The structured FFT path, the dense eigenbasis path and the dense
-    block-solve fallback solve the same discrete system."""
+    """The structured FFT eigenbasis, the dense eigenbasis and the dense LU
+    resolvent (no eigenbasis) solve the same discrete system."""
     n_op = 6
     sl = PeriodicSturmLiouvilleOperator(b=1.0, n=n_op)
     dense = DenseMatrixOperator(sl.as_dense())
@@ -266,6 +292,147 @@ def test_forcing_shape_is_checked():
         solve_bvp_linear(
             prob, bc, TGrid(1.0, 8), forcing=np.zeros((3, prob.grid.n, 1))
         )
+
+
+# ---------------------------------------------------------------------------
+# the t-eigenbasis solve against the dense assembly
+# ---------------------------------------------------------------------------
+
+ORACLE_SYMBOLS = SymbolSet(
+    l=2,
+    b=(0.5, 0.0, -1.0),
+    a_kernels={2: Kernel("exponential-paper", rate=1.0, amplitude=0.5)},
+    nu=1.0,
+)
+ORACLE_OPERATORS = {
+    "psl": PeriodicSturmLiouvilleOperator(b=1.0, n=4),
+    "laplacian-2d": DirichletLaplacian2D(2, 2, c=0.5),
+    # upper triangular with distinct eigenvalues: an eigenbasis, but not a normal A
+    "non-normal": DenseMatrixOperator([[1.0, 2.0, -1.0j], [0.0, 1.5, 1.0], [0.0, 0.0, 2.0]]),
+    # defective: no eigenbasis, so the resolvent runs its batched LU
+    "jordan": DenseMatrixOperator([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]),
+}
+
+
+def oracle_problem(kind):
+    prob = DiscretizedProblem(ORACLE_SYMBOLS, ORACLE_OPERATORS[kind], Grid(4.0, 8), p=2.0)
+    prob.check_condition()
+    return prob
+
+
+def random_data(prob, tg, seed):
+    """Complex boundary data and forcing drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    shape = (prob.grid.n, prob.operator.dim)
+    draw = lambda *lead: rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+    return Field(prob.grid, draw()), Field(prob.grid, draw()), draw(tg.m + 2)
+
+
+def _amplification(bc, tg):
+    """||K_bb^{-1} K_bu||_inf of the boundary rows, assembled here."""
+    (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, tg.dt)
+    rows = np.zeros((2, tg.m + 2), dtype=complex)
+    rows[0, :3] = c00, c01, c02
+    rows[1, -3:] = c12, c11, c10
+    try:
+        return np.linalg.norm(np.linalg.solve(rows[:, [0, -1]], rows[:, 1:-1]), np.inf)
+    except np.linalg.LinAlgError:
+        return np.inf
+
+
+complex_coeff = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_OPERATORS))
+@settings(max_examples=25, deadline=None)
+@given(
+    coeffs=st.tuples(complex_coeff, complex_coeff, complex_coeff, complex_coeff),
+    m=st.sampled_from([1, 2, 3]) | st.integers(4, 40),
+    t_final=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_robin_rows_match_the_dense_assembly(kind, coeffs, m, t_final, seed):
+    prob, tg = oracle_problem(kind), TGrid(t_final, m)
+    f1, f2, forcing = random_data(prob, tg, seed)
+    bc = BoundaryConditions(*coeffs, f1=f1, f2=f2)
+    assume(abs(check_nondegenerate(bc)) > 0.05)
+    assume(_amplification(bc, tg) < 100.0)
+    u = solve_bvp_linear(prob, bc, tg, forcing=forcing)
+    assert scaled_gap(u.values, dense_bvp_oracle(prob, bc, tg, forcing)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_OPERATORS))
+def test_one_resolvent_call_per_solve(kind, monkeypatch):
+    """One solve is one ``resolvent_solve_many`` call over all n m rows: no
+    banded solve for any kind, and no dense matrix for a unitary kind."""
+    prob = oracle_problem(kind)
+    calls = []
+    resolvent = OperatorRealization.resolvent_solve_many
+
+    def counted(self, z_rows, w_rows):
+        calls.append(len(z_rows))
+        return resolvent(self, z_rows, w_rows)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the BVP solve left the one resolvent path")
+
+    monkeypatch.setattr(OperatorRealization, "resolvent_solve_many", counted)
+    monkeypatch.setattr(scipy.linalg, "solve_banded", forbidden)
+    if prob.operator.unitary:
+        monkeypatch.setattr(OperatorRealization, "as_dense", forbidden)
+    tg = TGrid(1.0, 6)
+    f1, f2, forcing = random_data(prob, tg, 5)
+    bc = BoundaryConditions(1.0, 0.5, 0.3, 1.0, f1=f1, f2=f2)
+    solve_bvp_linear(prob, bc, tg, forcing=forcing)
+    assert calls == [tg.m * prob.grid.n]
+
+
+# alpha1 = 1.5 beta1 / dt leaves row 0 without a u(0) coefficient (dt = 1)
+ZERO_ROW = dict(alpha1=1.5, beta1=1.0, alpha2=0.0, beta2=1.0)
+
+
+def test_a_row_without_its_boundary_value_is_rejected():
+    prob = oracle_problem("psl")
+    tg = TGrid(3.0, 2)
+    f1, f2, _ = random_data(prob, tg, 1)
+    with pytest.raises(DegenerateBoundaryError, match="boundary row 0 does not determine u"):
+        solve_bvp_linear(prob, BoundaryConditions(**ZERO_ROW, f1=f1, f2=f2), tg)
+
+
+def test_a_row_without_its_boundary_value_exits_three(tmp_path, capsys):
+    config = get_preset("problem-4.6")
+    section = config["solve-elliptic"]
+    section.update(t_final=3.0, m=2)
+    section["bc"].update(ZERO_ROW)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve-elliptic", "--config", str(path)]) == 3
+    assert "boundary row 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_OPERATORS))
+def test_just_inside_the_amplification_limit(kind):
+    # c00 = 1.5 eps is 2.5 / limit * 0.9 of the off-diagonal pair (2, -0.5)
+    eps = 2.5 / BOUNDARY_AMPLIFICATION_LIMIT / 1.5 / 0.9
+    prob, tg = oracle_problem(kind), TGrid(3.0, 2)
+    f1, f2, forcing = random_data(prob, tg, 2)
+    bc = BoundaryConditions(**{**ZERO_ROW, "alpha1": 1.5 + 1.5 * eps}, f1=f1, f2=f2)
+    assert 0.8 * BOUNDARY_AMPLIFICATION_LIMIT < _amplification(bc, tg) < BOUNDARY_AMPLIFICATION_LIMIT
+    u = solve_bvp_linear(prob, bc, tg, forcing=forcing)
+    assert scaled_gap(u.values, dense_bvp_oracle(prob, bc, tg, forcing)) <= 1e-9
+
+
+def test_a_defective_t_operator_is_rejected():
+    """Complex Robin rows can make the eliminated 2 x 2 t-operator defective
+    (T = 3, m = 2: dt = 1, beta1 = beta2 = 1, alpha2 = 1/2 and 1 / (alpha1 -
+    3/2) a root of x^2 + 11/8 x + 1); it then has no eigenbasis."""
+    prob = oracle_problem("psl")
+    tg = TGrid(3.0, 2)
+    f1, f2, _ = random_data(prob, tg, 3)
+    alpha1 = 1.5 + 1.0 / np.roots([1.0, 1.375, 1.0])[0]
+    bc = BoundaryConditions(alpha1, 1.0, 0.5, 1.0, f1=f1, f2=f2)
+    with pytest.raises(DegenerateBoundaryError, match="eigenbasis"):
+        solve_bvp_linear(prob, bc, tg)
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +523,4 @@ def test_picard_validation():
     )
     with pytest.raises(InvalidArgumentError):
         solve_bvp_semilinear(prob, bc, TGrid(1.0, 8), two_args)
+

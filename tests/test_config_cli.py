@@ -175,6 +175,16 @@ BAD_EDITS = [
     ("problem-4.6", ("solve-elliptic", "max_iter"), 0, "solve-elliptic.max_iter"),
     ("problem-4.6", ("solve-elliptic", "max_t_halvings"), -1, "solve-elliptic.max_t_halvings"),
     ("example-4.3-mikhlin", ("mikhlin", "families"), [7], "mikhlin.families[0]"),
+    # lambdas outside the sector every run is gated on, and nonpositive tolerances
+    ("problem-3.7", ("solve-linear", "lambda"), -5, "solve-linear.lambda"),
+    ("example-4.3-sweep", ("lambda-sweep", "lambdas"), [-5], "lambda-sweep.lambdas[0]"),
+    ("example-4.3-rbound", ("rbound", "lambdas"), [-5], "rbound.lambdas[0]"),
+    ("example-4.3-mikhlin", ("mikhlin", "lambdas"), [-5], "mikhlin.lambdas[0]"),
+    ("example-4.3-mikhlin", ("mikhlin", "lambdas"), [1.0, [-1, 0.01]], "mikhlin.lambdas[1]"),
+    ("problem-4.6", ("solve-elliptic", "tol"), -1, "solve-elliptic.tol"),
+    ("blowup-ode", ("solve-parabolic", "blowup_threshold"), -1,
+     "solve-parabolic.blowup_threshold"),
+    ("blowup-ode", ("solve-parabolic", "step_tol"), -1, "solve-parabolic.step_tol"),
 ]
 
 

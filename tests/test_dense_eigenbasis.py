@@ -1,5 +1,5 @@
 """Property test: the eigenbasis route for dense non-normal A against the
-per-frequency matrix exponential and the dense block BVP solve."""
+per-frequency matrix exponential and the dense assembly of the strip BVP."""
 
 import numpy as np
 import scipy.linalg
@@ -15,9 +15,9 @@ from coesolve import (
     TGrid,
     solve_bvp_linear,
 )
-from coesolve.bvp import _solve_block_bvp
 from coesolve.evolution import _Propagator
 from coesolve.operators import DenseMatrixOperator
+from test_bvp import dense_bvp_oracle
 
 N = 16
 
@@ -83,18 +83,11 @@ def test_eigenbasis_route_matches_expm_and_block_solve(a, seed):
         ref[j] = block[:d, :d] @ vh[j] + block[:d, d:] @ fh[j]
     assert _scaled_gap(stepped, np.fft.ifft(ref, axis=0)) < 1e-10
 
-    # the linear BVP against one dense block solve per frequency
+    # the linear BVP against the dense assembly of the whole system
     tg = TGrid(0.5, 8)
     f1 = Field(prob.grid, vals)
     f2 = Field(prob.grid, forcing)
     bc = BoundaryConditions(1.0, 0.25, 0.5, 1.0, f1=f1, f2=f2)
     g = rng.standard_normal((tg.m + 2, N, d)) + 1j * rng.standard_normal((tg.m + 2, N, d))
     u = solve_bvp_linear(prob, bc, tg, forcing=g)
-    gh = np.fft.fft(g, axis=1)
-    f1h, f2h = np.fft.fft(vals, axis=0), np.fft.fft(forcing, axis=0)
-    uh = np.empty((tg.m + 2, N, d), dtype=complex)
-    for j in range(N):
-        rhs = gh[:, j, :].copy()
-        rhs[0], rhs[-1] = f1h[j], f2h[j]
-        uh[:, j, :] = _solve_block_bvp(den[j] * (a + eta[j] * eye), rhs, bc, tg.dt)
-    assert _scaled_gap(u.values, np.fft.ifft(uh, axis=1)) < 1e-10
+    assert _scaled_gap(u.values, dense_bvp_oracle(prob, bc, tg, g)) < 1e-10

@@ -1,0 +1,50 @@
+"""Every imported name is used: a stdlib ``ast`` scan of the package modules
+(except the re-exporting ``__init__.py``) and of the test files."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "coesolve").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def unused_imports(path):
+    """``file:line: name`` for each imported name the module never references.
+
+    ``import a.b`` counts as used only where ``a.b`` is, not any ``a.*``.
+    """
+    tree = ast.parse(path.read_text())
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        dotted = _dotted(node)
+        if dotted is not None:
+            parts = dotted.split(".")
+            used.update(".".join(parts[: i + 1]) for i in range(len(parts)))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    offenders = [hit for path in FILES if path.name != "__init__.py" for hit in unused_imports(path)]
+    assert offenders == []
+
+
+def test_the_scan_sees_an_unused_and_a_dotted_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nimport scipy.linalg\nfrom x import y as z\nscipy.fft.fft(z)\n")
+    assert unused_imports(probe) == ["probe.py:1: os", "probe.py:2: scipy.linalg"]
