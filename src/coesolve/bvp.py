@@ -9,7 +9,8 @@ tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer. Math.
 is diagonalized once, and every (frequency, t-mode) pair becomes one
 shifted resolvent solve of A, for every operator kind through
 ``OperatorRealization.resolvent_solve_many``.  Semilinear right-hand sides
-are handled by Picard iteration.
+are handled by Picard iteration, whose iterates share one t-eigenbasis per
+strip length.
 """
 
 from __future__ import annotations
@@ -191,14 +192,25 @@ def solve_bvp_linear(
     den_j (A + eta_j + kappa_k / den_j) w = h, all in one
     ``resolvent_solve_many`` call.
     """
+    return _solve_in_modes(problem, bc, tgrid, _checked_t_modes(problem, bc, tgrid), forcing)
+
+
+def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid):
+    """Check the problem and the boundary rows, then return ``_t_modes``."""
     problem.require_checked()
     if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
         raise DegenerateBoundaryError("boundary rows have vanishing determinant")
     problem.validate_field(bc.f1)
     problem.validate_field(bc.f2)
-    n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
-    kappa, w, w_inv, k_ib, k_bb_inv, k_bu = _t_modes(bc, tgrid)
+    return _t_modes(bc, tgrid)
 
+
+def _solve_in_modes(
+    problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid, modes, forcing
+) -> StripField:
+    """``solve_bvp_linear`` with the t-modes of ``tgrid`` already taken."""
+    n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
+    kappa, w, w_inv, k_ib, k_bb_inv, k_bu = modes
     garr = _normalize_forcing(problem, tgrid, forcing)
     den = problem.denominator_on_grid()
     eta = problem.eta_on_grid()
@@ -305,12 +317,13 @@ def solve_bvp_semilinear(
     halvings = 0
     current = tgrid
     while True:
-        u = solve_bvp_linear(problem, bc, current, forcing=None)
+        modes = _checked_t_modes(problem, bc, current)  # once per strip length
+        u = _solve_in_modes(problem, bc, current, modes, None)
         gaps: List[float] = []
         converged = False
         for _ in range(max_iter):
             rhs = _evaluate_rhs(nonlinearity, u)
-            u_next = solve_bvp_linear(problem, bc, current, forcing=rhs)
+            u_next = _solve_in_modes(problem, bc, current, modes, rhs)
             gap = float(np.max(np.abs(u_next.values - u.values)))
             gaps.append(gap)
             u = u_next

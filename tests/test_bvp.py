@@ -24,6 +24,7 @@ from coesolve import (
     solve_bvp_linear,
     solve_bvp_semilinear,
 )
+from coesolve import bvp
 from coesolve.bvp import BOUNDARY_AMPLIFICATION_LIMIT, _boundary_rows
 from coesolve.cli import main
 from coesolve.errors import DegenerateBoundaryError, InvalidArgumentError
@@ -495,6 +496,32 @@ def test_strip_shortening_rescues_strong_feedback():
     assert rescued.converged
     assert rescued.t_halvings == 2
     assert rescued.t_final == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("max_t_halvings, halvings", [(0, 0), (3, 2)])
+def test_t_modes_are_taken_once_per_strip_length(max_t_halvings, halvings, monkeypatch):
+    """Every Picard iterate on one strip reuses its t-eigenbasis; only a
+    T-halving takes a new one."""
+    calls = []
+    t_modes = bvp._t_modes
+
+    def counted(bc, tgrid):
+        calls.append(tgrid.t_final)
+        return t_modes(bc, tgrid)
+
+    monkeypatch.setattr(bvp, "_t_modes", counted)
+    prob = scalar_problem()
+    bc = BoundaryConditions(
+        1.0, 0.0, 0.0, 1.0, f1=cos_field(prob.grid), f2=zero_field(prob.grid)
+    )
+    nl = Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(((1,), 5.0),))
+    _, report = solve_bvp_semilinear(
+        prob, bc, TGrid(2.0, 40), nl, max_iter=25, tol=1e-8, max_t_halvings=max_t_halvings
+    )
+    assert report.t_halvings == halvings
+    assert report.iterations > 1
+    assert len(calls) == 1 + report.t_halvings
+    assert calls == [2.0 / 2**k for k in range(1 + halvings)]
 
 
 def test_derivative_feedback_uses_u_t():

@@ -1,6 +1,7 @@
 """Cauchy-problem marching: exact linear flow per frequency, semigroup and
 equilibrium identities, semilinear splitting, and blow-up detection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,13 @@ from coesolve import (
     solve_linear,
 )
 from coesolve.errors import BlowUpError, InvalidArgumentError
-from coesolve.evolution import DEFAULT_STEP_TOL, _Propagator
+from coesolve.evolution import (
+    DEFAULT_STEP_TOL,
+    MaximalSolutionReport,
+    _Propagator,
+    step_count,
+)
+from coesolve.grids import spectral_derivative
 from coesolve.operators import (
     DenseMatrixOperator,
     DirichletLaplacian2D,
@@ -354,6 +361,185 @@ def test_semilinear_step_evaluates_the_nonlinearity_twice():
     _, report = solve_cauchy_semilinear(prob, u0, nl, t_final=0.25, dt=0.01)
     assert report.completed
     assert len(calls) == 2 * 25
+
+
+def test_polynomial_step_evaluates_the_nonlinearity_twice(monkeypatch):
+    """The per-step count goes through ``Nonlinearity.evaluate`` for a
+    polynomial F too, so a counter wrapped around that method reads 2 per
+    accepted step."""
+    calls = []
+    evaluate = Nonlinearity.evaluate
+
+    def counted(self, args):
+        calls.append(len(args))
+        return evaluate(self, args)
+
+    monkeypatch.setattr(Nonlinearity, "evaluate", counted)
+    prob = convolution_problem(n=64)
+    u0 = Field.from_function(prob.grid, lambda x: 0.1 * np.exp(-(x**2)), weights=(1.0, 1.0))
+    cubic = Nonlinearity(
+        kind="pointwise-polynomial", arity=0, terms=(((3,), -1.0), ((1,), 0.5), ((0,), 0.01))
+    )
+    _, report = solve_cauchy_semilinear(prob, u0, cubic, t_final=0.25, dt=0.01)
+    assert report.completed
+    assert calls == [1] * (2 * 25)
+
+
+def _reference_evaluate(nl, args):
+    """``Nonlinearity.evaluate`` as first written: each argument converted
+    again for every factor, one new array per product."""
+    if nl.kind == "none":
+        return np.zeros_like(np.asarray(args[0], dtype=complex))
+    if nl.kind == "pointwise-closed-form":
+        return np.asarray(nl.fn(*args), dtype=complex)
+    out = np.zeros_like(np.asarray(args[0], dtype=complex))
+    for powers, coeff in nl.terms:
+        term = np.full(out.shape, coeff, dtype=complex)
+        for arg, e in zip(args, powers):
+            if e:
+                term = term * np.asarray(arg, dtype=complex) ** e
+        out += term
+    return out
+
+
+def _reference_of_field(nl, u):
+    args = tuple(spectral_derivative(u, k).values for k in range(nl.arity + 1))
+    return _reference_evaluate(nl, args)
+
+
+def _reference_sup(values):
+    return float(np.max(np.abs(values))) if values.size else 0.0
+
+
+def _reference_semilinear(problem, u0, nl, t_final, dt, blowup_threshold, step_tol, store_every):
+    """The semilinear step loop as first written: a ``Field`` around every
+    F argument, five transforms per step (the step-doubling difference
+    inverted on its own), a second sup norm per step and one ``lp_norm``
+    call for the F(u) integral.  Returns (times, snapshots, report)."""
+    n_steps = step_count(t_final, dt)
+    prop = _Propagator(problem, dt)
+    half = _Propagator(problem, dt / 2.0)
+    values = u0.values.copy()
+    w = prop.to_spectral(values)
+    times, snaps = [0.0], [values.copy()]
+    t = 0.0
+    sup_max = _reference_sup(values)
+    f_acc = 0.0
+    halt_reason, err = None, None
+    for step in range(n_steps):
+        f_now = _reference_of_field(nl, Field(problem.grid, values))
+        fw = prop.to_spectral(f_now)
+        w_new = prop.advance(w + dt * fw)
+        w_mid = half.advance(w + (dt / 2.0) * fw)
+        f_mid = _reference_of_field(nl, Field(problem.grid, prop.from_spectral(w_mid)))
+        w_double = half.advance(w_mid + (dt / 2.0) * prop.to_spectral(f_mid))
+        new = prop.from_spectral(w_new)
+        sup_new = _reference_sup(new)
+        err = _reference_sup(prop.from_spectral(w_double - w_new)) / max(1.0, sup_new)
+        if not (math.isfinite(sup_new) and math.isfinite(err)):
+            halt_reason = "non_finite"
+        elif sup_new > blowup_threshold:
+            halt_reason = "threshold"
+        elif err > step_tol:
+            halt_reason = "step_tol"
+        if halt_reason is not None:
+            break
+        f_acc += dt * lp_norm(Field(problem.grid, f_now), problem.p) ** problem.p
+        values, w = new, w_new
+        t = (step + 1) * dt
+        sup_max = max(sup_max, _reference_sup(values))
+        if store_every and (step + 1) % store_every == 0 and step + 1 < n_steps:
+            times.append(t)
+            snaps.append(values)
+    if times[-1] != t:
+        times.append(t)
+        snaps.append(values)
+    report = MaximalSolutionReport(
+        completed=halt_reason is None,
+        t_max=t,
+        final_norms={
+            "u_lp": lp_norm(Field(problem.grid, values), problem.p),
+            "u_sup": _reference_sup(values),
+        },
+        blowup_indicator={
+            "u_sup_max": sup_max,
+            "nonlinearity_lp_time": f_acc ** (1.0 / problem.p),
+        },
+        halt_reason=halt_reason,
+        last_error_estimate=err,
+    )
+    return times, snaps, report
+
+
+def _growth_nonlinearity(form, g, c2, c0):
+    """g u + c2 u^2 + c0, or g u + c2 u u_x + c0 for ``arity1``."""
+    if form == "closed":
+        return Nonlinearity(
+            kind="pointwise-closed-form", arity=0, fn=lambda u: g * u + c2 * u * u + c0
+        )
+    if form == "arity1":
+        terms = (((1, 0), g), ((1, 1), c2), ((0, 0), c0))
+        return Nonlinearity(kind="pointwise-polynomial", arity=1, terms=terms)
+    terms = (((1,), g), ((2,), c2), ((0,), c0))
+    return Nonlinearity(kind="pointwise-polynomial", arity=0, terms=terms)
+
+
+# (growth g, u^2 or u u_x coefficient, amplitude of u0, threshold, step_tol)
+_HALTS = {
+    None: (0.0, 0.1, 0.2, math.inf, math.inf),
+    "threshold": (40.0, 0.3, 0.3, 5.0, math.inf),
+    "non_finite": (60.0, 2.0, 2.0, math.inf, math.inf),
+    "step_tol": (40.0, 0.3, 1.0, math.inf, 0.06),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["psl", "laplacian", "dense", "fallback"]),
+    form=st.sampled_from(["polynomial", "closed", "arity1"]),
+    halt=st.sampled_from(sorted(_HALTS, key=str)),
+    c0=st.floats(-0.5, 0.5),
+    store_every=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_semilinear_loop_matches_the_reference_loop_bit_for_bit(
+    kind, form, halt, c0, store_every, seed
+):
+    """The fused step loop (two transforms back, one of them stacked; no
+    per-step wrappers) gives the snapshots, times and report of the loop
+    as first written, to the last bit, for every operator kind, form of F
+    and halting test."""
+    g, c2, amplitude, threshold, step_tol = _HALTS[halt]
+    op = _operator(kind)
+    sym = SymbolSet(
+        l=2, b=(0.5, 0.0, -1.0), a_kernels={2: Kernel("exponential-paper", rate=1.0)}, nu=1.0
+    )
+    grid = Grid(half_width=4.0, n=16)
+    prob = DiscretizedProblem(sym, op, grid, p=2.0)
+    prob.check_condition()
+    rng = np.random.default_rng(seed)
+    shape = (grid.n, op.dim)
+    u0 = Field(grid, amplitude * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    nl = _growth_nonlinearity(form, g, c2, c0)
+    run = dict(
+        t_final=0.4, dt=0.01, blowup_threshold=threshold, step_tol=step_tol,
+        store_every=store_every,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, report = solve_cauchy_semilinear(prob, u0, nl, **run)
+        times, snaps, ref = _reference_semilinear(prob, u0, nl, **run)
+    assert ref.halt_reason == halt
+    assert state.times == times
+    assert len(state.snapshots) == len(snaps)
+    for got, want in zip(state.snapshots, snaps):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert repr(report.to_dict()) == repr(ref.to_dict())
+    # every snapshot owns its samples: none is a view of a buffer the loop reuses
+    assert all(snap.flags.owndata for snap in state.snapshots)
+    assert not np.shares_memory(state.snapshots[0], u0.values)
+    for a, b in itertools.combinations(state.snapshots, 2):
+        assert not np.shares_memory(a, b)
 
 
 # ---------------------------------------------------------------------------
