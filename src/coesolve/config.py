@@ -11,7 +11,8 @@ later (``m >= 1``, ``trials >= 100``, ``xi_points_per_side >= 2``,
 norm exponents, multiplier family indices, and lambdas inside the sector
 every solve and estimate is gated on).  Complex scalars are plain numbers or [re, im] pairs;
 a null value counts as absent.  Randomized constructs (band-limited fields,
-R-bound trials) draw from a generator seeded by the run seed only.
+R-bound trials, which run only for p != 2) draw from a generator seeded by
+the run seed only.
 """
 
 from __future__ import annotations

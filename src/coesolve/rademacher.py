@@ -2,17 +2,26 @@
 
 The L_p norm over the sign space is evaluated exactly by enumerating all
 2^m sign patterns while 2^m <= 4096, and by at least 4096 uniform draws
-beyond that.  R-bounds are estimated from below by maximizing the ratio of
-output to input Rademacher averages over sampled operator tuples; the
-search always includes each member's singleton tuple at a vector where it
-attains its norm (the top right singular vector of a matrix, e_argmax of a
-diagonal given as its 1-D vector), so the estimate never falls under the
-largest single-operator norm.
+beyond that.
+
+At p = 2 the R-bound of a family in C^d with the Euclidean norm is known in
+closed form: Rademacher sums are orthogonal, E||sum_j r_j T_j x_j||^2 =
+sum_j ||T_j x_j||^2, so the R_2-bound is max_j ||T_j|| (in a Hilbert space
+R-boundedness is boundedness; Arendt & Bu, Math. Z. 240, 2002), and
+``empirical_rbound`` returns that norm without trials.  For p != 2 it
+estimates the R-bound from below by maximizing the ratio of output to input
+Rademacher averages over sampled operator tuples; the search always
+includes each member's singleton tuple at a vector where it attains its
+norm (the top right singular vector of a matrix, e_argmax of a diagonal
+given as its 1-D vector), so the estimate falls under the largest
+single-operator norm by rounding at most.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -43,13 +52,20 @@ class RademacherSample:
         return cls(m=m, mode="random", n_draws=max(n_draws, EXHAUSTIVE_LIMIT), seed=seed)
 
     def signs(self) -> np.ndarray:
-        """(n_patterns, m) matrix of +-1 signs."""
+        """(n_patterns, m) matrix of +-1 signs (read-only when exhaustive)."""
         if self.mode == "exhaustive":
-            count = 2**self.m
-            bits = (np.arange(count)[:, None] >> np.arange(self.m)[None, :]) & 1
-            return 1.0 - 2.0 * bits
+            return _all_signs(self.m)
         rng = np.random.default_rng(self.seed)
         return 1.0 - 2.0 * rng.integers(0, 2, size=(self.n_draws, self.m)).astype(float)
+
+
+@lru_cache(maxsize=None)
+def _all_signs(m: int) -> np.ndarray:
+    """Every +-1 pattern of length m, built once per m."""
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.flags.writeable = False
+    return signs
 
 
 def rademacher_lp_norm(vectors, p: float, sample: RademacherSample = None) -> float:
@@ -69,22 +85,35 @@ def rademacher_lp_norm(vectors, p: float, sample: RademacherSample = None) -> fl
         sample = RademacherSample.plan(m)
     if sample.m != m:
         raise InvalidArgumentError("sample plan sized for a different m")
-    signs = sample.signs()
-    sums = signs.astype(complex) @ v
-    mags = np.linalg.norm(sums, axis=1)
+    sums = sample.signs().astype(complex) @ v
+    # np.linalg.norm(sums, axis=1) without its product temporary; the same
+    # ufuncs on the same layout keep its bits
+    squares = sums.conj()
+    squares *= sums
+    mags = np.sqrt(np.add.reduce(squares.real, axis=1))
     return float(np.mean(mags**p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
 class RBoundEstimate:
-    """Lower estimate of an R-bound with its provenance, and the uniform
-    bound max ||T|| over the family."""
+    """R-bound of a family with its provenance, and the uniform bound
+    max ||T|| over the family.
+
+    ``mode`` is "closed-form" at p = 2, where ``value`` is the uniform bound
+    itself and ``tuples_tested`` the member count; otherwise ``value`` is a
+    lower estimate and ``mode`` says whether the largest tuple's sign space
+    was enumerated ("exhaustive") or sampled ("random").  ``argmax`` is the
+    index of the first member attaining the uniform bound, and
+    ``attained_at`` names it where the family's parametrization is known.
+    """
 
     value: float
     tuples_tested: int
     mode: str
     seed: int
     uniform_bound: float
+    argmax: int = 0
+    attained_at: Optional[dict] = None
 
     def to_dict(self):
         return {
@@ -93,6 +122,7 @@ class RBoundEstimate:
             "mode": self.mode,
             "seed": self.seed,
             "uniform_bound": self.uniform_bound,
+            "attained_at": self.attained_at,
         }
 
 
@@ -124,12 +154,15 @@ def _tuple_ratio(members, xs, p, sample):
 def empirical_rbound(
     operators, p: float = 2.0, trials: int = 200, seed: int = 0, m_max: int = 8
 ) -> RBoundEstimate:
-    """Estimate the R_p-bound of a finite family of matrices from below.
+    """The R_p-bound of a finite family of matrices: exact at p = 2, from
+    below otherwise.
 
-    Each trial draws a tuple of at most ``m_max`` family members (with
-    repetition) and complex Gaussian inputs, and evaluates the ratio of the
-    output to input Rademacher L_p averages.  Singleton tuples at a vector
-    where each member attains its norm are always included.
+    At p = 2 the value is the largest member norm and no trial runs.  For
+    p != 2 each of ``trials`` trials draws a tuple of at most ``m_max``
+    family members (with repetition) and complex Gaussian inputs, and
+    evaluates the ratio of the output to input Rademacher L_p averages.
+    Singleton tuples at a vector where each member attains its norm are
+    always included.  ``trials`` is range-checked at every p.
 
     Members are all matrices or all 1-D vectors d, each standing for diag(d).
     A family diagonal in one unitary basis passes its eigenvalues, and the
@@ -144,11 +177,19 @@ def empirical_rbound(
         raise InvalidArgumentError("family members must share shape")
     if trials < 100:
         raise InvalidArgumentError("need at least 100 trials")
-    d_in = shape[-1]
-    rng = np.random.default_rng(seed)
 
     singletons = [_singleton(t) for t in ops]
-    uniform = max(norm for norm, _ in singletons)
+    norms = [norm for norm, _ in singletons]
+    argmax = int(np.argmax(norms))
+    uniform = norms[argmax]
+    if p == 2:
+        return RBoundEstimate(
+            value=uniform, tuples_tested=len(ops), mode="closed-form", seed=seed,
+            uniform_bound=uniform, argmax=argmax,
+        )
+
+    d_in = shape[-1]
+    rng = np.random.default_rng(seed)
     best = max(ratio for _, ratio in singletons)
     tested = len(ops)
     mode = "exhaustive"
@@ -168,7 +209,8 @@ def empirical_rbound(
             tested += 1
 
     return RBoundEstimate(
-        value=best, tuples_tested=tested, mode=mode, seed=seed, uniform_bound=uniform
+        value=best, tuples_tested=tested, mode=mode, seed=seed, uniform_bound=uniform,
+        argmax=argmax,
     )
 
 
@@ -205,14 +247,15 @@ def scaled_resolvent_rbound(
     trials: int = 200,
     seed: int = 0,
 ):
-    """R-bound estimate for the scaled resolvent family of a problem.
+    """R-bound of the scaled resolvent family of a problem.
 
     Builds sigma(xi, lambda) = (1 + lambda) (mu_hat + nu)^{-1}
     (A + eta(xi) + lambda)^{-1} (``MultiplierFamily`` index ``"sigma"``) over
-    the sample product and estimates the family R_p-bound; also reports the
-    uniform norm bound.  For a ``unitary`` operator kind the members are
-    their eigenvalue vectors (``MultiplierFamily.diagonal``), otherwise dense
-    matrices.
+    the sample product, xi-major, and returns its R_p-bound estimate (exact at
+    p = 2) with the uniform norm bound; ``attained_at`` is the (xi, lambda)
+    of the first member attaining that bound.  For a ``unitary`` operator
+    kind the members are their eigenvalue vectors
+    (``MultiplierFamily.diagonal``), otherwise dense matrices.
     """
     xi_samples = np.atleast_1d(np.asarray(xi_samples, dtype=float))
     lambda_samples = np.atleast_1d(np.asarray(lambda_samples, dtype=complex))
@@ -228,4 +271,9 @@ def scaled_resolvent_rbound(
         for lam in lambda_samples
     ]
     estimate = empirical_rbound(family, p=p, trials=trials, seed=seed)
+    xi, lam = divmod(estimate.argmax, lambda_samples.size)
+    estimate = replace(estimate, attained_at={
+        "xi": float(xi_samples[xi]),
+        "lambda": [float(lambda_samples[lam].real), float(lambda_samples[lam].imag)],
+    })
     return estimate, estimate.uniform_bound

@@ -35,6 +35,7 @@ from .symbols import (
     char_poly,
     check_symbol_conditions,
     lambda_weights,
+    make_xi_grid,
 )
 
 
@@ -58,10 +59,18 @@ class DiscretizedProblem:
             raise InvalidArgumentError("p must be >= 1")
 
     def check_condition(self, xi_grid=None, lambda_sector: Optional[Sector] = None):
+        """Run the four clauses on ``xi_grid`` (default ``make_xi_grid()``)
+        joined with every nonzero frequency of the solver grid, so the gate
+        covers each frequency a solve uses."""
         if lambda_sector is not None:
             self.lambda_sector = lambda_sector
+        if xi_grid is None:
+            xi_grid = make_xi_grid()
+        solved = self.grid.xi
         self.condition_report = check_symbol_conditions(
-            self.symbols, xi_grid=xi_grid, lambda_sector=self.lambda_sector
+            self.symbols,
+            xi_grid=np.union1d(xi_grid, solved[solved != 0.0]),
+            lambda_sector=self.lambda_sector,
         )
         return self.condition_report
 

@@ -209,11 +209,13 @@ def scalar_problem():
 
 def test_scaled_resolvent_scalar_values():
     # sigma(xi, lam) = (1 + lam)/(2 + lam) independent of xi; at p = 2 the
-    # empirical estimate meets the uniform bound exactly
+    # R-bound is the uniform bound, attained at the largest lambda
     prob = scalar_problem()
     est, uniform = scaled_resolvent_rbound(prob, [1.0], [1.0, 10.0], trials=150)
     assert uniform == pytest.approx(11.0 / 12.0, rel=1e-12)
-    assert est.value == pytest.approx(uniform, rel=1e-12)
+    assert est.value == uniform
+    assert est.mode == "closed-form"
+    assert est.attained_at == {"xi": 1.0, "lambda": [10.0, 0.0]}
 
 
 def test_scaled_resolvent_rejects_lambda_outside_sector():
