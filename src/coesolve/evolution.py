@@ -28,7 +28,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BlowUpError, InvalidArgumentError
 from .grids import Field, spectral_derivative
@@ -96,22 +95,6 @@ class Nonlinearity:
             out += term
         return out
 
-    def lipschitz_probe(self, radius: float, samples: int = 200, seed: int = 0) -> float:
-        """Numeric Lipschitz estimate over random argument pairs in a ball."""
-        if self.is_zero:
-            return 0.0
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        for _ in range(samples):
-            a = [radius * (2 * rng.random(4) - 1) for _ in range(self.arity + 1)]
-            b = [radius * (2 * rng.random(4) - 1) for _ in range(self.arity + 1)]
-            gap = math.sqrt(sum(float(np.sum((x - y) ** 2)) for x, y in zip(a, b)))
-            if gap < 1e-12:
-                continue
-            diff = self.evaluate(tuple(a)) - self.evaluate(tuple(b))
-            best = max(best, float(np.linalg.norm(diff)) / gap)
-        return best
-
     def of_field(self, u: Field) -> np.ndarray:
         """Evaluate on a field, feeding spectral x-derivatives as arguments."""
         args = tuple(spectral_derivative(u, k).values for k in range(self.arity + 1))
@@ -141,6 +124,8 @@ class _Propagator:
             self.fwd, self.inv = fwd, inv
         else:
             # Fallback for a defective or ill-conditioned dense A.
+            import scipy.linalg  # only this fallback uses it; kept out of start-up
+
             a = problem.operator.as_dense()
             d = a.shape[0]
             n = problem.grid.n

@@ -41,9 +41,6 @@ class Grid:
         """FFT-ordered frequencies pi j / X, j = -n/2 .. n/2 - 1."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
-    def refine(self) -> "Grid":
-        return Grid(self.half_width, 2 * self.n)
-
 
 @dataclass
 class Field:

@@ -29,7 +29,6 @@ import csv
 import functools
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidArgumentError, SingularResolventError
 from .symbols import Sector
@@ -52,19 +51,9 @@ class OperatorRealization:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def apply(self, v):
-        """A v for one vector v of length dim."""
-        return self.apply_many(np.asarray(v, dtype=complex)[None, :])[0]
-
     def apply_many(self, rows):
         """A applied to every row of ``rows`` (shape (m, dim))."""
         raise NotImplementedError
-
-    def resolvent_solve(self, z, w):
-        """(A + z)^{-1} w for one vector."""
-        return self.resolvent_solve_many(
-            np.asarray([z], dtype=complex), np.asarray(w, dtype=complex)[None, :]
-        )[0]
 
     def resolvent_solve_many(self, z_rows, w_rows):
         """(A + z_i)^{-1} w_i per row; ``z_rows`` has one shift per row of ``w_rows``.
@@ -255,6 +244,8 @@ class DirichletLaplacian2D(OperatorRealization):
         return (lap + self._c * inner).reshape(m, self.dim)
 
     def diagonalization(self):
+        import scipy.fft  # only this kind uses it; loading costs ~0.3 s of start-up
+
         dst2 = lambda grids: scipy.fft.dstn(grids, type=1, axes=(-2, -1), norm="ortho")
 
         def fwd(rows):

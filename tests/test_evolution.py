@@ -571,16 +571,6 @@ def test_closed_form_nonlinearity():
     assert np.allclose(nl.evaluate((u,)), np.sin(u))
 
 
-def test_lipschitz_probe_scales_linearly_for_the_square():
-    nl = square_nonlinearity()
-    probe1 = nl.lipschitz_probe(1.0)
-    probe3 = nl.lipschitz_probe(3.0)
-    # |a^2 - b^2| <= (|a| + |b|) |a - b| gives slope between R and 2R
-    assert 1.0 <= probe1 <= 2.05
-    assert probe3 == pytest.approx(3.0 * probe1, rel=1e-9)
-    assert Nonlinearity(kind="none").lipschitz_probe(1.0) == 0.0
-
-
 def test_nonlinearity_validation():
     with pytest.raises(InvalidArgumentError):
         Nonlinearity(kind="cubic-spline")

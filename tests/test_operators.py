@@ -24,13 +24,13 @@ from coesolve.operators import (
 
 def test_dense_apply_diagonal():
     op = DenseMatrixOperator(np.diag([1.0, 2.0]))
-    out = op.apply(np.array([1.0, 1.0], dtype=complex))
+    out = op.apply_many(np.array([[1.0, 1.0]], dtype=complex))[0]
     assert np.allclose(out, [1.0, 2.0])
 
 
 def test_sturm_liouville_annihilates_constants_when_b_zero():
     op = PeriodicSturmLiouvilleOperator(b=0.0, n=4)
-    out = op.apply(np.ones(4, dtype=complex))
+    out = op.apply_many(np.ones((1, 4), dtype=complex))[0]
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_dirichlet_laplacian_eigenvector():
     j = np.arange(1, n + 1)
     v = np.outer(np.sin(np.pi * j * h), np.sin(np.pi * j * h)).ravel()
     op = DirichletLaplacian2D(n, n, c=0.0)
-    out = op.apply(v.astype(complex))
+    out = op.apply_many(v.astype(complex)[None, :])[0]
     lam = 2.0 * (2.0 - 2.0 * np.cos(np.pi * h)) / h**2
     assert lam == pytest.approx(32.0 * (2.0 - np.sqrt(2.0)))
     assert np.allclose(out, lam * v, atol=1e-10)
@@ -73,13 +73,13 @@ def test_dirichlet_laplacian_eigenvector():
 
 def test_dense_resolvent_scaled_identity():
     op = DenseMatrixOperator(2.0 * np.eye(2))
-    out = op.resolvent_solve(3.0, np.array([5.0, 10.0], dtype=complex))
+    out = op.resolvent_solve_many([3.0], np.array([[5.0, 10.0]], dtype=complex))[0]
     assert np.allclose(out, [1.0, 2.0])
 
 
 def test_dense_resolvent_diagonal():
     op = DenseMatrixOperator(np.diag([1.0, 2.0]))
-    out = op.resolvent_solve(1.0, np.array([1.0, 1.0], dtype=complex))
+    out = op.resolvent_solve_many([1.0], np.array([[1.0, 1.0]], dtype=complex))[0]
     assert np.allclose(out, [0.5, 1.0 / 3.0])
 
 
@@ -90,7 +90,7 @@ def test_diagonalized_resolvent_matches_dense_lu():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     z = 2.0 + 0.5j
-    via_fft = op.resolvent_solve(z, f)
+    via_fft = op.resolvent_solve_many([z], f[None, :])[0]
     via_lu = np.linalg.solve(dense + z * np.eye(n), f)
     assert np.allclose(via_fft, via_lu, atol=1e-10)
 
@@ -100,8 +100,9 @@ def test_resolvent_identity():
     op = DenseMatrixOperator(np.array([[2.0, 1.0], [0.0, 3.0]]))
     f = np.array([1.0, -1.0], dtype=complex)
     z, w = 1.0, 4.0 + 1.0j
-    lhs = op.resolvent_solve(z, f) - op.resolvent_solve(w, f)
-    rhs = (w - z) * op.resolvent_solve(z, op.resolvent_solve(w, f))
+    solve = lambda shift, b: op.resolvent_solve_many([shift], b[None, :])[0]
+    lhs = solve(z, f) - solve(w, f)
+    rhs = (w - z) * solve(z, solve(w, f))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -112,7 +113,7 @@ def test_resolvent_batch_matches_loop():
     zs = np.array([1.0, 2.0 + 1.0j, 10.0])
     batched = op.resolvent_solve_many(zs, fs)
     for i in range(3):
-        single = op.resolvent_solve(zs[i], fs[i])
+        single = op.resolvent_solve_many(zs[i : i + 1], fs[i : i + 1])[0]
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -138,12 +139,13 @@ def test_resolvent_needs_one_shift_per_row(op):
 )
 def test_shift_within_rounding_of_an_eigenvalue_is_singular(op):
     lam = np.min(op.eigenvalues().real)
-    w = np.ones(op.dim)
+    w = np.ones((1, op.dim))
     for z in (-lam, -np.nextafter(lam, np.inf), -np.nextafter(lam, 0.0)):
         with pytest.raises(SingularResolventError):
-            op.resolvent_solve(z, w)
+            op.resolvent_solve_many([z], w)
     # a shift a million ulps away is an ordinary, if ill-conditioned, solve
-    assert np.all(np.isfinite(op.resolvent_solve(-lam * (1.0 + 1e6 * np.finfo(float).eps), w)))
+    far = -lam * (1.0 + 1e6 * np.finfo(float).eps)
+    assert np.all(np.isfinite(op.resolvent_solve_many([far], w)))
 
 
 def _eye(n):
@@ -215,7 +217,7 @@ def test_diagonalization_round_trip():
         v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         assert np.allclose(inv(fwd(v)), v, atol=1e-10)
         # A v computed through the eigenbasis matches the stencil
-        assert np.allclose(inv(eigs * fwd(v)), op.apply(v), atol=1e-9)
+        assert np.allclose(inv(eigs * fwd(v)), op.apply_many(v[None, :])[0], atol=1e-9)
 
 
 def test_dense_diagonalization_of_non_normal_matrix():
