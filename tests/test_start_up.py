@@ -3,10 +3,12 @@ submodules themselves.
 
 Several test modules import ``scipy.linalg`` at the top, so only a child
 process shows what the package loads on its own: ``import coesolve.cli``
-and a dense preset leave ``scipy.fft``, ``scipy.linalg`` and
-``scipy.special`` unloaded; the Laplacian preset (``scipy.fft``) and a
-defective dense A (the ``scipy.linalg.expm`` fallback) load them where they
-are called and write the same bytes as an in-process run.
+and a dense preset, which writes a CSV, leave ``scipy.fft``,
+``scipy.linalg`` and ``scipy.special`` unloaded, and ``fractions`` and
+``decimal`` too (the CSV writer builds its tables from ints); the
+Laplacian preset (``scipy.fft``) and a defective dense A (the
+``scipy.linalg.expm`` fallback) load them where they are called and write
+the same bytes as an in-process run.
 """
 
 import copy
@@ -21,6 +23,7 @@ from coesolve.presets import get_preset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 OPTIONAL = ("scipy.fft", "scipy.linalg", "scipy.special")
+NEVER = ("fractions", "decimal")
 
 PROBE = """
 import json, sys
@@ -47,7 +50,7 @@ def _result_files(directory):
 
 
 def test_import_and_a_dense_run_load_no_optional_scipy_module(tmp_path):
-    code = f"OPTIONAL = {OPTIONAL!r}\n{PROBE}"
+    code = f"OPTIONAL = {OPTIONAL + NEVER!r}\n{PROBE}"
     proc = _child(["-c", code, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
