@@ -24,7 +24,6 @@ from .errors import DegenerateBoundaryError, InvalidArgumentError
 from .evolution import Nonlinearity
 from .grids import Field, Grid
 from .operators import EIGENBASIS_COND_LIMIT
-from .output import field_table, write_csv
 from .solver import DiscretizedProblem
 
 DEGENERACY_FLOOR = 1e-12
@@ -106,10 +105,6 @@ class StripField:
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
         out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
         return out
-
-    def to_csv(self, path):
-        """Rows (t, x, re/im per component) over the whole strip."""
-        write_csv(path, *field_table(self.grid.x, self.values, self.tgrid.t))
 
 
 def _normalize_forcing(problem, tgrid, forcing) -> Optional[np.ndarray]:
@@ -274,16 +269,6 @@ class IterationReport:
     t_halvings: int = 0
     t_final: float = 0.0
     message: str = ""
-
-    def to_dict(self):
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "gaps": self.gaps,
-            "t_halvings": self.t_halvings,
-            "t_final": self.t_final,
-            "message": self.message,
-        }
 
 
 def _evaluate_rhs(nonlinearity: Nonlinearity, u: StripField) -> np.ndarray:

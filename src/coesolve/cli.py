@@ -68,12 +68,16 @@ def _load_config(args) -> tuple:
             raise ConfigError(str(exc))
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 return json.load(fh), None
         except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
+            raise ConfigError(f"cannot read config {args.config!r}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config!r} is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
+            raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}")
+        except RecursionError:
+            raise ConfigError(f"config {args.config!r} nests too deeply to read")
     raise ConfigError("a config is required (--config PATH or --preset NAME)")
 
 

@@ -216,8 +216,8 @@ _SYMBOLS = _obj({
 })
 _OPERATOR = _kinds({
     "dense-matrix": {"matrix": (_list_of(_cnum_list), None), "csv": (_str, None)},
-    "periodic-sturm-liouville": {"b": (_num, 1.0), "n": (_int, 128)},
-    "dirichlet-laplacian-2d": {"n_y": (_int, 32), "n_z": (_int, 32), "c": (_num, 0.0)},
+    "periodic-sturm-liouville": {"b": (_num, None), "n": (_int, None)},
+    "dirichlet-laplacian-2d": {"n_y": (_int, None), "n_z": (_int, None), "c": (_num, None)},
 })
 _GRID = _obj({"half_width": (_num, REQUIRED), "n": (_int, REQUIRED)})
 _PROBLEM = _then(

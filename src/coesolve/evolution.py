@@ -32,7 +32,6 @@ import numpy as np
 from .errors import BlowUpError, InvalidArgumentError
 from .grids import Field, spectral_derivative
 from .norms import lp_norm
-from .output import field_table, write_csv
 from .solver import DiscretizedProblem
 
 DEFAULT_BLOWUP_THRESHOLD = 1e8
@@ -174,10 +173,6 @@ class CauchyState:
     def final(self) -> Field:
         return Field(self.problem.grid, self.snapshots[-1])
 
-    def to_csv(self, path):
-        """Rows (t, x, re/im per component) for every stored snapshot."""
-        write_csv(path, *field_table(self.problem.grid.x, np.stack(self.snapshots), self.times))
-
 
 @dataclass
 class MaximalSolutionReport:
@@ -196,16 +191,6 @@ class MaximalSolutionReport:
     blowup_indicator: dict = dc_field(default_factory=dict)
     halt_reason: Optional[str] = None
     last_error_estimate: Optional[float] = None
-
-    def to_dict(self):
-        return {
-            "completed": self.completed,
-            "t_max": self.t_max,
-            "final_norms": self.final_norms,
-            "blowup_indicator": self.blowup_indicator,
-            "halt_reason": self.halt_reason,
-            "last_error_estimate": self.last_error_estimate,
-        }
 
 
 def step_count(t_final: float, dt: float) -> int:

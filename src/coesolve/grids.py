@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .output import field_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class Field:
         profile = np.asarray(fn(grid.x), dtype=complex)
         w = np.asarray([1.0] if weights is None else weights, dtype=complex)
         return cls(grid, profile[:, None] * w[None, :])
-
-    def to_csv(self, path):
-        """Columns: x, then re/im per component."""
-        write_csv(path, *field_table(self.grid.x, self.values))
 
 
 def spectral_derivative(field: Field, order: int) -> Field:

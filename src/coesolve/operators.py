@@ -255,23 +255,18 @@ class DirichletLaplacian2D(OperatorRealization):
         return fwd, fwd, self._eigs2d.reshape(-1).astype(complex)
 
 
+_KINDS = {cls.kind: cls for cls in (
+    DenseMatrixOperator, PeriodicSturmLiouvilleOperator, DirichletLaplacian2D)}
+
+
 def make_operator(kind: str, **params) -> OperatorRealization:
-    """Construct a realization by kind name."""
-    if kind == "dense-matrix":
-        if "csv" in params:
-            return DenseMatrixOperator.from_csv(params["csv"])
-        return DenseMatrixOperator(params["matrix"])
-    if kind == "periodic-sturm-liouville":
-        return PeriodicSturmLiouvilleOperator(
-            b=params.get("b", 1.0), n=params.get("n", 128)
-        )
-    if kind == "dirichlet-laplacian-2d":
-        return DirichletLaplacian2D(
-            n_y=params.get("n_y", 32),
-            n_z=params.get("n_z", 32),
-            c=params.get("c", 0.0),
-        )
-    raise InvalidArgumentError(f"unknown operator kind {kind!r}")
+    """Construct a realization by kind name; the constructor's own defaults
+    fill in omitted params, and a ``csv`` param loads the matrix from a file."""
+    if kind not in _KINDS:
+        raise InvalidArgumentError(f"unknown operator kind {kind!r}")
+    if "csv" in params:
+        return _KINDS[kind].from_csv(params["csv"])
+    return _KINDS[kind](**params)
 
 
 def sector_samples(sector: Sector, n_moduli: int = 24, lo: float = 1e-2, hi: float = 1e6):

@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +23,13 @@ from .bvp import (
     BoundaryConditions, TGrid, bvp_discrete_residual, solve_bvp_linear, solve_bvp_semilinear,
 )
 from .config import build_field, build_problem, parse_run, validate_config
+from .errors import ConfigError
 from .evolution import solve_cauchy_linear, solve_cauchy_semilinear
 from .norms import besov_norm, lp_norm, mixed_norm, sobolev_norm, trace_space_norms
 from .rademacher import scaled_resolvent_rbound
 from .solver import apply_operator, lambda_sweep, solve_linear
 from .symbols import MultiplierFamily, make_xi_grid, mikhlin_bound
-from .output import write_json
+from .output import field_table, write_csv, write_json
 
 
 def _config_hash(config) -> str:
@@ -67,14 +69,14 @@ class _Run:
         return lambda t: space.values * profile(t, t_final)
 
     def emit(self, name, result):
-        """Write ``result`` to ``name``: a dict as JSON, anything else by its to_csv."""
+        """Write ``result`` to ``name``: a dict as JSON, a (header, table) pair as CSV."""
         if self.out is None:
             return
         path = self.out / name
         if isinstance(result, dict):
             write_json(path, result)
         else:
-            result.to_csv(path)
+            write_csv(path, *result)
         self.files[name] = str(path)
 
 
@@ -85,8 +87,7 @@ class _Run:
 
 def _check_condition(run, s):
     report = run.problem.check_condition(
-        xi_grid=make_xi_grid(per_side=s["xi_points_per_side"]),
-        lambda_sector=s["sector_angle"],
+        xi_grid=make_xi_grid(per_side=s["xi_points_per_side"]), lambda_sector=s["sector_angle"]
     )
     run.summary.update(report.to_dict())
     run.emit("condition_report.json", report.to_dict())
@@ -106,25 +107,34 @@ def _solve_linear(run, s):
             "residual_sup": float(np.max(np.abs(residual))),
         }
     )
-    run.emit("solution.csv", u)
+    run.emit("solution.csv", field_table(u.grid.x, u.values))
     run.emit("summary.json", run.summary)
 
 
 def _lambda_sweep(run, s):
-    table = lambda_sweep(run.problem, run.field(s["forcing"]), s["lambdas"])
+    sweep = lambda_sweep(run.problem, run.field(s["forcing"]), s["lambdas"])
     run.summary.update(
         {
-            "max_resolvent_value": table.max_resolvent_value,
-            "ratio_spread": table.ratio_spread,
-            "rows": len(table.rows),
+            "max_resolvent_value": sweep.max_resolvent_value,
+            "ratio_spread": sweep.ratio_spread,
+            "rows": len(sweep.rows),
         }
     )
-    run.emit("sweep.csv", table)
+    orders = range(sweep.l + 1)
+    header = ["lambda_re", "lambda_im", *(f"term_k{k}" for k in orders),
+              *(f"conv_k{k}" for k in orders), "mu_conv_term", "au_term", "ratio",
+              "resolvent_value"]
+    table = [
+        [r["lambda"].real, r["lambda"].imag, *r["derivative_terms"], *r["convolution_terms"],
+         r["mu_conv_term"], r["au_term"], r["ratio"], r["resolvent_value"]]
+        for r in sweep.rows
+    ]
+    run.emit("sweep.csv", (header, table))
     run.emit("summary.json", run.summary)
 
 
 def _mikhlin(run, s):
-    lambdas, grid = s["lambdas"], make_xi_grid()
+    lambdas, grid = s["lambdas"], run.problem.certified_xi()
     bounds = {}
     for index in s["families"]:
         fams = {lam: MultiplierFamily(run.problem.symbols, index, lam) for lam in lambdas}
@@ -153,8 +163,8 @@ def _solve_parabolic(run, s):
             blowup_threshold=s["blowup_threshold"], step_tol=s["step_tol"],
             store_every=s["store_every"],
         )
-        run.summary.update(report.to_dict())
-        run.emit("report.json", report.to_dict())
+        run.summary.update(asdict(report))
+        run.emit("report.json", asdict(report))
     else:
         state = solve_cauchy_linear(
             problem, u0, forcing=run.forcing(s), t_final=s["t_final"], dt=s["dt"],
@@ -166,7 +176,7 @@ def _solve_parabolic(run, s):
         }}
         run.summary.update(report)
         run.emit("report.json", report)
-    run.emit("trajectory.csv", state)
+    run.emit("trajectory.csv", field_table(problem.grid.x, np.stack(state.snapshots), state.times))
 
 
 def _solve_elliptic(run, s):
@@ -178,8 +188,8 @@ def _solve_elliptic(run, s):
             problem, bc, tgrid, s["nonlinearity"], max_iter=s["max_iter"], tol=s["tol"],
             max_t_halvings=s["max_t_halvings"],
         )
-        run.summary.update(report.to_dict())
-        run.emit("iterations.json", report.to_dict())
+        run.summary.update(asdict(report))
+        run.emit("iterations.json", asdict(report))
     else:
         forcing = run.forcing(s)
         u = solve_bvp_linear(problem, bc, tgrid, forcing=forcing)
@@ -187,7 +197,7 @@ def _solve_elliptic(run, s):
         run.summary["residual"] = residual
         run.emit("iterations.json", {"converged": True, "iterations": 0, "residual": residual})
     run.summary["u_sup"] = float(np.max(np.abs(u.values)))
-    run.emit("solution.csv", u)
+    run.emit("solution.csv", field_table(u.grid.x, u.values, u.tgrid.t))
 
 
 def _sobolev_norms(field, e, problem):
@@ -256,7 +266,10 @@ def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> Run
     problem = build_problem(config["problem"], "problem")
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {str(out)!r} as the output directory: {exc.strerror}")
     run = _Run(problem, rng, run_seed, out, {"scenario": scenario, "seed": run_seed})
     if scenario != "check-condition":
         problem.check_condition()  # every solve and estimate is gated on this

@@ -26,7 +26,6 @@ from .errors import (
 from .grids import Field, Grid, spectral_derivative
 from .norms import lp_norm, sobolev_norm
 from .operators import OperatorRealization
-from .output import write_csv
 from .symbols import (
     DEFAULT_LAMBDA_SECTOR,
     ConditionReport,
@@ -36,6 +35,7 @@ from .symbols import (
     check_symbol_conditions,
     lambda_weights,
     make_xi_grid,
+    reduced_symbol,
 )
 
 
@@ -58,19 +58,19 @@ class DiscretizedProblem:
         if not self.p >= 1:
             raise InvalidArgumentError("p must be >= 1")
 
+    def certified_xi(self, xi_grid=None):
+        """``xi_grid`` (default ``make_xi_grid()``) joined with every nonzero
+        frequency of the solver grid: what the gate and the Mikhlin bound see."""
+        solved = self.grid.xi
+        return np.union1d(make_xi_grid() if xi_grid is None else xi_grid, solved[solved != 0.0])
+
     def check_condition(self, xi_grid=None, lambda_sector: Optional[Sector] = None):
-        """Run the four clauses on ``xi_grid`` (default ``make_xi_grid()``)
-        joined with every nonzero frequency of the solver grid, so the gate
+        """Run the four clauses on ``certified_xi(xi_grid)``, so the gate
         covers each frequency a solve uses."""
         if lambda_sector is not None:
             self.lambda_sector = lambda_sector
-        if xi_grid is None:
-            xi_grid = make_xi_grid()
-        solved = self.grid.xi
         self.condition_report = check_symbol_conditions(
-            self.symbols,
-            xi_grid=np.union1d(xi_grid, solved[solved != 0.0]),
-            lambda_sector=self.lambda_sector,
+            self.symbols, xi_grid=self.certified_xi(xi_grid), lambda_sector=self.lambda_sector
         )
         return self.condition_report
 
@@ -89,9 +89,7 @@ class DiscretizedProblem:
         return np.asarray(self.symbols.denominator(self.grid.xi), dtype=complex)
 
     def eta_on_grid(self):
-        den = self.denominator_on_grid()
-        n_vals = np.asarray(char_poly(self.symbols, self.grid.xi), dtype=complex)
-        return n_vals / den
+        return reduced_symbol(self.symbols, self.grid.xi)
 
     def validate_field(self, f: Field):
         if f.grid != self.grid:
@@ -213,22 +211,6 @@ class SweepTable:
 
     l: int
     rows: List[dict]
-
-    def header(self):
-        cols = ["lambda_re", "lambda_im"]
-        cols += [f"term_k{k}" for k in range(self.l + 1)]
-        cols += [f"conv_k{k}" for k in range(self.l + 1)]
-        cols += ["mu_conv_term", "au_term", "ratio", "resolvent_value"]
-        return cols
-
-    def to_csv(self, path):
-        table = [
-            [r["lambda"].real, r["lambda"].imag, *r["derivative_terms"],
-             *r["convolution_terms"], r["mu_conv_term"], r["au_term"], r["ratio"],
-             r["resolvent_value"]]
-            for r in self.rows
-        ]
-        write_csv(path, self.header(), np.array(table))
 
     @property
     def max_resolvent_value(self) -> float:

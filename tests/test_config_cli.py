@@ -9,7 +9,8 @@ import pytest
 
 from coesolve import run_scenario, validate_config
 from coesolve.cli import main
-from coesolve.config import SCENARIOS, _component_weights
+import coesolve.runner as runner
+from coesolve.config import SCENARIOS, _component_weights, build_problem
 from coesolve.errors import ConfigError
 from coesolve.operators import (
     DenseMatrixOperator,
@@ -17,7 +18,6 @@ from coesolve.operators import (
     PeriodicSturmLiouvilleOperator,
 )
 from coesolve.presets import get_preset, preset_names
-from coesolve.runner import HANDLERS
 
 
 def _read(path):
@@ -199,7 +199,7 @@ def test_bad_value_is_a_config_error_naming_its_path(preset, keys, value, path, 
 
 
 def test_every_scenario_has_a_handler():
-    assert tuple(HANDLERS) == SCENARIOS
+    assert tuple(runner.HANDLERS) == SCENARIOS
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +272,31 @@ def test_semilinear_elliptic_run_converges(tmp_path):
     assert iters["converged"] is True
 
 
+def test_mikhlin_samples_the_certified_frequencies(monkeypatch):
+    seen, bound = [], runner.mikhlin_bound
+
+    def spy(symbol, lambdas, grid):
+        seen.append(grid)
+        return bound(symbol, lambdas, grid)
+
+    monkeypatch.setattr(runner, "mikhlin_bound", spy)
+    config = get_preset("example-4.3-mikhlin")
+    run_scenario(config)
+    certified = build_problem(config["problem"], "problem").certified_xi()
+    assert len(certified) > 2 * 1200
+    assert len(seen) == len(config["mikhlin"]["families"])
+    assert all(np.array_equal(grid, certified) for grid in seen)
+
+
+@pytest.mark.parametrize("cls", [PeriodicSturmLiouvilleOperator, DirichletLaplacian2D])
+def test_omitted_operator_params_take_the_constructor_defaults(cls):
+    config = get_preset("problem-3.7")
+    config["problem"]["operator"] = {"kind": cls.kind}
+    op = build_problem(config["problem"], "problem").operator
+    assert type(op) is cls
+    assert op.eigenvalues().tobytes() == cls().eigenvalues().tobytes()
+
+
 def test_runner_seed_override():
     config = get_preset("example-4.3-rbound")
     base = run_scenario(config, seed=1)
@@ -335,6 +360,30 @@ def test_cli_rejects_unreadable_or_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve-linear", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-too-deep", "out-is-a-file",
+                                  "out-below-a-file"])
+def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(get_preset("problem-3.7")))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    argv = ["solve-linear", "--config", str(cfg)]
+    if case == "config-not-utf8":
+        cfg.write_bytes(b'{"scenario": "solve-linear\xff"}')
+        named = cfg
+    elif case == "config-too-deep":
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        named = cfg
+    else:
+        named = blocker if case == "out-is-a-file" else blocker / "sub"
+        argv += ["--out", str(named)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and str(named) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert blocker.read_text() == "kept"
 
 
 def test_cli_rejects_unknown_preset(capsys):

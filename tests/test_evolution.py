@@ -3,6 +3,7 @@ equilibrium identities, semilinear splitting, and blow-up detection."""
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ def test_blowup_is_detected_in_the_expected_window():
     assert state.t == pytest.approx(report.t_max)
     assert report.halt_reason == "step_tol"
     assert report.last_error_estimate > 1e-3
-    assert report.to_dict()["halt_reason"] == "step_tol"
+    assert asdict(report)["halt_reason"] == "step_tol"
 
 
 @pytest.mark.parametrize("fn, reason", [
@@ -343,7 +344,7 @@ def test_damped_semilinear_run_completes_and_decays():
     assert report.blowup_indicator["u_sup_max"] <= 0.1 + 1e-9
     assert report.halt_reason is None
     assert 0.0 < report.last_error_estimate <= DEFAULT_STEP_TOL
-    assert report.to_dict()["halt_reason"] is None
+    assert asdict(report)["halt_reason"] is None
 
 
 def test_semilinear_step_evaluates_the_nonlinearity_twice():
@@ -534,7 +535,7 @@ def test_semilinear_loop_matches_the_reference_loop_bit_for_bit(
     for got, want in zip(state.snapshots, snaps):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert repr(report.to_dict()) == repr(ref.to_dict())
+    assert repr(asdict(report)) == repr(asdict(ref))
     # every snapshot owns its samples: none is a view of a buffer the loop reuses
     assert all(snap.flags.owndata for snap in state.snapshots)
     assert not np.shares_memory(state.snapshots[0], u0.values)

@@ -1,5 +1,6 @@
 """Every imported name is used: a stdlib ``ast`` scan of the package modules
-(except the re-exporting ``__init__.py``) and of the test files."""
+(except the re-exporting ``__init__.py``) and of the test files.  The same
+scan holds the layering: only the runner and the CLI import ``output``."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,36 @@ def test_the_scan_sees_an_unused_and_a_dotted_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nimport scipy.linalg\nfrom x import y as z\nscipy.fft.fft(z)\n")
     assert unused_imports(probe) == ["probe.py:1: os", "probe.py:2: scipy.linalg"]
+
+
+def imports_output(path):
+    """Whether the package module at ``path`` imports ``coesolve.output`` in any form."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name in (".output", "coesolve.output") for name in names):
+            return True
+    return False
+
+
+def test_only_the_runner_and_the_cli_import_output():
+    """Numeric layers return arrays and reports; the runner writes every result file."""
+    package = sorted((ROOT / "src" / "coesolve").glob("*.py"))
+    assert {path.stem for path in package if imports_output(path)} == {"runner", "cli"}
+
+
+def test_the_layering_scan_sees_each_import_form(tmp_path):
+    forms = ["from .output import write_csv", "from . import output", "import coesolve.output",
+             "from coesolve.output import write_json", "from coesolve import output"]
+    for i, form in enumerate(forms):
+        probe = tmp_path / f"probe{i}.py"
+        probe.write_text(form + "\n")
+        assert imports_output(probe), form
+    probe = tmp_path / "clean.py"
+    probe.write_text("from .outputs import x\nfrom .grids import output\nimport output\n")
+    assert not imports_output(probe)

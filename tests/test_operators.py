@@ -390,6 +390,10 @@ def test_make_operator_dispatch():
     op = make_operator("periodic-sturm-liouville", n=8, b=1.0)
     assert isinstance(op, PeriodicSturmLiouvilleOperator)
     assert op.dim == 8
+    # omitted params take the constructor's defaults
+    psl = make_operator("periodic-sturm-liouville")
+    assert psl.eigenvalues().tobytes() == PeriodicSturmLiouvilleOperator().eigenvalues().tobytes()
+    assert make_operator("dirichlet-laplacian-2d", n_z=4).dim == DirichletLaplacian2D(n_z=4).dim
     with pytest.raises(InvalidArgumentError):
         make_operator("unknown-thing")
 
@@ -406,6 +410,8 @@ def test_csv_loader_round_trip(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     op = DenseMatrixOperator.from_csv(str(path))
     assert np.allclose(op.as_dense(), mat, atol=0.0)
+    loaded = make_operator("dense-matrix", csv=str(path))
+    assert loaded.as_dense().tobytes() == op.as_dense().tobytes()
 
 
 def test_csv_loader_rejects_odd_column_count(tmp_path):

@@ -14,15 +14,19 @@ from coesolve import (
     SymbolSet,
     apply_operator,
     band_limited_random,
+    char_poly,
     coercive_report,
     lambda_sweep,
     lp_norm,
+    make_xi_grid,
     norm_equivalence,
+    reduced_symbol,
     solve_linear,
 )
 from coesolve.errors import (
     AdmissibilityError,
     ConditionNotCheckedError,
+    DegenerateSymbolError,
     InvalidArgumentError,
 )
 from coesolve.operators import DenseMatrixOperator
@@ -52,6 +56,37 @@ def convolution_problem(n=256):
     prob = DiscretizedProblem(sym, op, grid, p=2.0)
     prob.check_condition()
     return prob
+
+
+# ---------------------------------------------------------------------------
+# per-frequency symbols and the certified frequencies
+# ---------------------------------------------------------------------------
+
+
+def test_eta_on_grid_is_the_reduced_symbol():
+    prob = convolution_problem()
+    xi = prob.grid.xi
+    eta = prob.eta_on_grid()
+    assert eta.tobytes() == reduced_symbol(prob.symbols, xi).tobytes()
+    quotient = np.asarray(char_poly(prob.symbols, xi), dtype=complex) / prob.denominator_on_grid()
+    assert eta.tobytes() == quotient.tobytes()
+
+
+def test_eta_on_grid_refuses_a_vanishing_denominator():
+    sym = SymbolSet(l=0, b=(1.0,), nu=0.0)
+    prob = DiscretizedProblem(sym, DenseMatrixOperator(np.eye(1)), Grid(half_width=1.0, n=8))
+    with pytest.raises(DegenerateSymbolError):
+        prob.eta_on_grid()
+
+
+def test_certified_xi_joins_the_log_grid_and_the_solved_frequencies():
+    prob = scalar_problem(half_width=1.0, n=2048)
+    xi = prob.certified_xi(make_xi_grid(per_side=50))
+    solved = prob.grid.xi[prob.grid.xi != 0.0]
+    assert np.all(np.diff(xi) > 0.0) and np.all(xi != 0.0)
+    assert len(xi) == len(set(make_xi_grid(per_side=50)) | set(solved))
+    assert np.all(np.isin(solved, xi)) and np.abs(solved).max() > 1e3
+    assert np.array_equal(prob.certified_xi(), np.union1d(make_xi_grid(), solved))
 
 
 # ---------------------------------------------------------------------------
