@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateBoundaryError, InvalidArgumentError
 from .evolution import Nonlinearity
-from .grids import Field, Grid
+from .grids import Field, Grid, x_fft, x_ifft
 from .operators import EIGENBASIS_COND_LIMIT
 from .solver import DiscretizedProblem
 
@@ -209,17 +209,17 @@ def _solve_in_modes(
     garr = _normalize_forcing(problem, tgrid, forcing)
     den = problem.denominator_on_grid()
     eta = problem.eta_on_grid()
-    fb = np.fft.fft(np.stack([bc.f1.values, bc.f2.values]), axis=1).reshape(2, n * d)
+    fb = x_fft(np.stack([bc.f1.values, bc.f2.values])).reshape(2, n * d)
     rhs = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
     if garr is not None:
-        rhs += np.fft.fft(garr[1:-1], axis=1).reshape(m, n * d)
+        rhs += x_fft(garr[1:-1]).reshape(m, n * d)
     hw = (w_inv @ rhs).reshape(m, n, d) / den[None, :, None]
     z = eta[None, :] + kappa[:, None] / den[None, :]
     vw = problem.operator.resolvent_solve_many(z.reshape(-1), hw.reshape(m * n, d))
     interior = w @ vw.reshape(m, n * d)
     ends = k_bb_inv @ (fb - k_bu @ interior)
     uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, n, d)
-    values = np.fft.ifft(uh, axis=1)
+    values = x_ifft(uh)
     return StripField(tgrid=tgrid, grid=problem.grid, values=values)
 
 
@@ -239,17 +239,17 @@ def bvp_discrete_residual(
     dt = tgrid.dt
     den = problem.denominator_on_grid()
     eta = problem.eta_on_grid()
-    uh = np.fft.fft(solution.values, axis=1)
+    uh = x_fft(solution.values)
     a_u = problem.operator.apply_many(uh.reshape(-1, uh.shape[2])).reshape(uh.shape)
     m_u = den[None, :, None] * (a_u + eta[None, :, None] * uh)
     interior = (
         -(uh[:-2] - 2.0 * uh[1:-1] + uh[2:]) / dt**2 + m_u[1:-1]
     )
     if garr is not None:
-        interior = interior - np.fft.fft(garr, axis=1)[1:-1]
+        interior = interior - x_fft(garr)[1:-1]
     (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
-    row0 = c00 * uh[0] + c01 * uh[1] + c02 * uh[2] - np.fft.fft(bc.f1.values, axis=0)
-    row1 = c10 * uh[-1] + c11 * uh[-2] + c12 * uh[-3] - np.fft.fft(bc.f2.values, axis=0)
+    row0 = c00 * uh[0] + c01 * uh[1] + c02 * uh[2] - x_fft(bc.f1.values)
+    row1 = c10 * uh[-1] + c11 * uh[-2] + c12 * uh[-3] - x_fft(bc.f2.values)
     scale = max(1.0, float(np.max(np.abs(uh))))
     worst = max(
         float(np.max(np.abs(interior))) if interior.size else 0.0,

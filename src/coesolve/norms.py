@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import Field, spectral_derivative
+from .grids import Field, spectral_derivative, x_fft, x_ifft
 
 
 def _component_norms(values) -> np.ndarray:
@@ -65,15 +65,15 @@ def sobolev_norm(field: Field, l: int, p: float, operator=None) -> float:
 def _dyadic_pieces(field: Field):
     """(low, [(j, piece)]) sharp Littlewood-Paley decomposition of the field."""
     xi = np.abs(field.grid.xi)
-    fh = np.fft.fft(field.values, axis=0)
-    low = Field(field.grid, np.fft.ifft(np.where((xi <= 1.0)[:, None], fh, 0), axis=0))
+    fh = x_fft(field.values)
+    low = Field(field.grid, x_ifft(np.where((xi <= 1.0)[:, None], fh, 0)))
     pieces = []
     j = 1
     ximax = float(xi.max())
     while 2.0 ** (j - 1) <= ximax:
         mask = (xi > 2.0 ** (j - 1)) & (xi <= 2.0**j)
         if np.any(mask):
-            piece = Field(field.grid, np.fft.ifft(np.where(mask[:, None], fh, 0), axis=0))
+            piece = Field(field.grid, x_ifft(np.where(mask[:, None], fh, 0)))
             pieces.append((j, piece))
         j += 1
     return low, pieces

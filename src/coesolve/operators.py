@@ -201,6 +201,8 @@ class PeriodicSturmLiouvilleOperator(OperatorRealization):
         )
 
     def diagonalization(self):
+        # The y-axis eigenbasis: the one FFT outside grids.x_fft/x_ifft, whose
+        # size rule is for the x axis (tests/test_import_hygiene.py).
         fwd = lambda rows: np.fft.fft(rows, axis=-1, norm="ortho")
         inv = lambda rows: np.fft.ifft(rows, axis=-1, norm="ortho")
         return fwd, inv, self._eigs.astype(complex)

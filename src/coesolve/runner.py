@@ -69,14 +69,19 @@ class _Run:
         return lambda t: space.values * profile(t, t_final)
 
     def emit(self, name, result):
-        """Write ``result`` to ``name``: a dict as JSON, a (header, table) pair as CSV."""
+        """Write ``result`` to ``name``: a dict as JSON, a callable returning a
+        (header, table) pair as CSV.  The callable runs only when there is a
+        file to write; a failed write is a ``ConfigError`` naming the path."""
         if self.out is None:
             return
         path = self.out / name
-        if isinstance(result, dict):
-            write_json(path, result)
-        else:
-            write_csv(path, *result)
+        try:
+            if isinstance(result, dict):
+                write_json(path, result)
+            else:
+                write_csv(path, *result())
+        except OSError as exc:
+            raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
         self.files[name] = str(path)
 
 
@@ -107,7 +112,7 @@ def _solve_linear(run, s):
             "residual_sup": float(np.max(np.abs(residual))),
         }
     )
-    run.emit("solution.csv", field_table(u.grid.x, u.values))
+    run.emit("solution.csv", lambda: field_table(u.grid.x, u.values))
     run.emit("summary.json", run.summary)
 
 
@@ -124,12 +129,11 @@ def _lambda_sweep(run, s):
     header = ["lambda_re", "lambda_im", *(f"term_k{k}" for k in orders),
               *(f"conv_k{k}" for k in orders), "mu_conv_term", "au_term", "ratio",
               "resolvent_value"]
-    table = [
+    run.emit("sweep.csv", lambda: (header, [
         [r["lambda"].real, r["lambda"].imag, *r["derivative_terms"], *r["convolution_terms"],
          r["mu_conv_term"], r["au_term"], r["ratio"], r["resolvent_value"]]
         for r in sweep.rows
-    ]
-    run.emit("sweep.csv", (header, table))
+    ]))
     run.emit("summary.json", run.summary)
 
 
@@ -176,7 +180,8 @@ def _solve_parabolic(run, s):
         }}
         run.summary.update(report)
         run.emit("report.json", report)
-    run.emit("trajectory.csv", field_table(problem.grid.x, np.stack(state.snapshots), state.times))
+    run.emit("trajectory.csv",
+             lambda: field_table(problem.grid.x, np.stack(state.snapshots), state.times))
 
 
 def _solve_elliptic(run, s):
@@ -197,7 +202,7 @@ def _solve_elliptic(run, s):
         run.summary["residual"] = residual
         run.emit("iterations.json", {"converged": True, "iterations": 0, "residual": residual})
     run.summary["u_sup"] = float(np.max(np.abs(u.values)))
-    run.emit("solution.csv", field_table(u.grid.x, u.values, u.tgrid.t))
+    run.emit("solution.csv", lambda: field_table(u.grid.x, u.values, u.tgrid.t))
 
 
 def _sobolev_norms(field, e, problem):
@@ -274,8 +279,6 @@ def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> Run
     if scenario != "check-condition":
         problem.check_condition()  # every solve and estimate is gated on this
     exit_code = HANDLERS[scenario](run, section) or 0
-    files = run.files
-
     elapsed = time.monotonic() - started
     if out is not None:
         manifest = {
@@ -290,8 +293,7 @@ def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> Run
                 "coesolve": __version__,
             },
             "elapsed_seconds": elapsed,
-            "outputs": sorted(files),
+            "outputs": sorted(run.files),
         }
-        write_json(out / "manifest.json", manifest)
-        files["manifest.json"] = str(out / "manifest.json")
-    return RunResult(scenario, run.summary, files, exit_code)
+        run.emit("manifest.json", manifest)
+    return RunResult(scenario, run.summary, run.files, exit_code)

@@ -23,7 +23,7 @@ from .errors import (
     ConditionNotCheckedError,
     InvalidArgumentError,
 )
-from .grids import Field, Grid, spectral_derivative
+from .grids import Field, Grid, spectral_derivative, x_fft, x_ifft
 from .norms import lp_norm, sobolev_norm
 from .operators import OperatorRealization
 from .symbols import (
@@ -108,10 +108,10 @@ def solve_linear(problem: DiscretizedProblem, f: Field, lam: complex = 0.0) -> F
         raise InvalidArgumentError("lambda outside the admissible sector")
     den = problem.denominator_on_grid()
     eta = problem.eta_on_grid()
-    fh = np.fft.fft(f.values, axis=0)
+    fh = x_fft(f.values)
     rhs = fh / den[:, None]
     uh = problem.operator.resolvent_solve_many(eta + lam, rhs)
-    return Field(problem.grid, np.fft.ifft(uh, axis=0))
+    return Field(problem.grid, x_ifft(uh))
 
 
 def apply_operator(problem: DiscretizedProblem, u: Field, lam: complex = 0.0) -> Field:
@@ -120,10 +120,10 @@ def apply_operator(problem: DiscretizedProblem, u: Field, lam: complex = 0.0) ->
     problem.validate_field(u)
     den = problem.denominator_on_grid()
     n_vals = np.asarray(char_poly(problem.symbols, problem.grid.xi), dtype=complex)
-    uh = np.fft.fft(u.values, axis=0)
-    auh = np.fft.fft(problem.operator.apply_many(u.values), axis=0)
+    uh = x_fft(u.values)
+    auh = x_fft(problem.operator.apply_many(u.values))
     out = (n_vals + lam)[:, None] * uh + den[:, None] * auh
-    return Field(problem.grid, np.fft.ifft(out, axis=0))
+    return Field(problem.grid, x_ifft(out))
 
 
 @dataclass
@@ -166,7 +166,7 @@ def coercive_report(
     p = problem.p
     sym = problem.symbols
     w = lambda_weights(sym.l, lam)
-    uh = np.fft.fft(u.values, axis=0)
+    uh = x_fft(u.values)
     xi = problem.grid.xi
 
     deriv_terms, conv_terms = [], []
@@ -178,15 +178,15 @@ def coercive_report(
             conv_terms.append(0.0)
         else:
             symb = np.asarray(ker.fourier(xi), dtype=complex) * (1j * xi) ** k
-            conv = Field(problem.grid, np.fft.ifft(symb[:, None] * uh, axis=0))
+            conv = Field(problem.grid, x_ifft(symb[:, None] * uh))
             conv_terms.append(float(w[k]) * lp_norm(conv, p))
 
     au = Field(problem.grid, problem.operator.apply_many(u.values))
     au_term = lp_norm(au, p)
     if sym.mu_kernel is not None:
         mu_symb = np.asarray(sym.mu_kernel.fourier(xi), dtype=complex)
-        auh = np.fft.fft(au.values, axis=0)
-        mu_conv = Field(problem.grid, np.fft.ifft(mu_symb[:, None] * auh, axis=0))
+        auh = x_fft(au.values)
+        mu_conv = Field(problem.grid, x_ifft(mu_symb[:, None] * auh))
         mu_term = lp_norm(mu_conv, p)
     else:
         mu_term = 0.0

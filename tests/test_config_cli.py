@@ -363,7 +363,8 @@ def test_cli_rejects_unreadable_or_invalid_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["config-not-utf8", "config-too-deep", "out-is-a-file",
-                                  "out-below-a-file"])
+                                  "out-below-a-file", "result-is-a-directory",
+                                  "manifest-is-a-directory"])
 def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(get_preset("problem-3.7")))
@@ -376,6 +377,11 @@ def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
     elif case == "config-too-deep":
         cfg.write_text("[" * 100000 + "]" * 100000)
         named = cfg
+    elif case.endswith("-is-a-directory"):
+        out = tmp_path / "out"
+        named = out / ("solution.csv" if case == "result-is-a-directory" else "manifest.json")
+        named.mkdir(parents=True)
+        argv += ["--out", str(out)]
     else:
         named = blocker if case == "out-is-a-file" else blocker / "sub"
         argv += ["--out", str(named)]
@@ -384,6 +390,21 @@ def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
     assert captured.err.startswith("config error: ") and str(named) in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert blocker.read_text() == "kept"
+
+
+CSV_PRESETS = [name for name in preset_names() if get_preset(name)["scenario"]
+               in ("solve-linear", "lambda-sweep", "solve-parabolic", "solve-elliptic")]
+
+
+@pytest.mark.parametrize("name", CSV_PRESETS)
+def test_a_run_without_an_output_directory_builds_no_table(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV table was built with no file to write")
+
+    monkeypatch.setattr(runner, "field_table", refuse)
+    monkeypatch.setattr(runner, "write_csv", refuse)
+    result = run_scenario(get_preset(name))
+    assert result.exit_code == 0 and result.files == {}
 
 
 def test_cli_rejects_unknown_preset(capsys):

@@ -1,6 +1,7 @@
 """Every imported name is used: a stdlib ``ast`` scan of the package modules
 (except the re-exporting ``__init__.py``) and of the test files.  The same
-scan holds the layering: only the runner and the CLI import ``output``."""
+scan holds the layering: only the runner and the CLI import ``output``, and
+only ``grids`` transforms in x."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,44 @@ def test_the_layering_scan_sees_each_import_form(tmp_path):
     probe = tmp_path / "clean.py"
     probe.write_text("from .outputs import x\nfrom .grids import output\nimport output\n")
     assert not imports_output(probe)
+
+
+FFT_NAMES = ("fft", "ifft")
+
+
+def uses_fft(path):
+    """Whether the module at ``path`` names an FFT module's ``fft`` or ``ifft``:
+    ``np.fft.fft``, ``numpy.fft.ifft``, ``scipy.fft.fft``, ``fft.fft`` after
+    ``from numpy import fft``, or ``from numpy.fft import fft``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fft":
+            if any(alias.name in FFT_NAMES for alias in node.names):
+                return True
+        if isinstance(node, ast.Attribute) and node.attr in FFT_NAMES:
+            dotted = _dotted(node)
+            if dotted is not None and dotted.split(".")[-2] == "fft":
+                return True
+    return False
+
+
+def test_only_grids_transforms_in_x():
+    """Every x-transform goes through ``grids.x_fft``/``x_ifft``, which choose
+    between the cached DFT and ``np.fft`` by size.  ``operators`` keeps
+    ``np.fft`` for the periodic Sturm-Liouville eigenbasis: a transform along
+    the operator's y axis (the last axis), where that size rule does not apply."""
+    package = sorted((ROOT / "src" / "coesolve").glob("*.py"))
+    assert {path.stem for path in package if uses_fft(path)} == {"grids", "operators"}
+
+
+def test_the_fft_scan_sees_each_form(tmp_path):
+    forms = ["np.fft.fft(v, axis=0)\n", "numpy.fft.ifft(v)\n", "scipy.fft.fft(v)\n",
+             "from numpy import fft\nfft.ifft(v)\n", "from numpy.fft import fft\n",
+             "from scipy.fft import ifft as inverse\n", "pick = np.fft.ifft\n"]
+    for i, form in enumerate(forms):
+        probe = tmp_path / f"probe{i}.py"
+        probe.write_text(form)
+        assert uses_fft(probe), form
+    probe = tmp_path / "clean.py"
+    probe.write_text("np.fft.fftfreq(8)\nscipy.fft.dstn(v)\nfrom numpy.fft import fftfreq\n"
+                     "grid.fft(v)\nx_fft(v)\n")
+    assert not uses_fft(probe)

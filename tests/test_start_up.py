@@ -8,7 +8,8 @@ and a dense preset, which writes a CSV, leave ``scipy.fft``,
 ``decimal`` too (the CSV writer builds its tables from ints); the
 Laplacian preset (``scipy.fft``) and a defective dense A (the
 ``scipy.linalg.expm`` fallback) load them where they are called and write
-the same bytes as an in-process run.
+the same bytes as an in-process run.  The import builds no DFT matrix for
+the small-grid x-transforms either; they are built on first use.
 """
 
 import copy
@@ -55,6 +56,13 @@ def test_import_and_a_dense_run_load_no_optional_scipy_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"exit": 0, "loaded": {"import": [], "run": []}}
+
+
+def test_import_builds_no_dft_matrix():
+    code = "import coesolve.cli; print(coesolve.grids._dft_matrix.cache_info().currsize)"
+    proc = _child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def _fresh_matches_in_process(args, tmp_path, capsys):
