@@ -207,7 +207,11 @@ def _operator(s, path) -> OperatorRealization:
     params = {k: v for k, v in s.items() if v is not None}
     if s["kind"] == "dense-matrix" and "matrix" not in params and "csv" not in params:
         raise ConfigError("dense-matrix needs a matrix", f"{path}.matrix")
-    return make_operator(**params)
+    operator = make_operator(**params)  # a dense A checks its own spectrum
+    if np.min(operator.eigenvalues().real) <= 0:
+        raise ConfigError(
+            f"{operator.kind} operator must have eigenvalues with positive real part", path)
+    return operator
 
 
 _SYMBOLS = _obj({

@@ -16,9 +16,9 @@ step (at u, shared by the full step, the first half step and the F(u)
 integral, and at the midpoint of the two half steps) and two forward and two
 inverse transforms: the new state and the step-doubling difference go back
 to samples in one stacked inverse call.  Over thousands of steps on a
-tiny grid (``blowup-ode``: n = 8) transform overhead dominates, so
-``grids.x_fft``/``x_ifft`` run such states as a DFT matmul at about a
-quarter of ``np.fft``'s per-call cost; larger ones keep ``np.fft``.
+tiny state (``blowup-ode``: n = 8, dim = 1) those transforms would dominate,
+so a state of N = n dim values with N^2 <= ``grids.DFT_MAX_WORK`` steps by
+one N x N matrix on samples instead: three small matmuls per semilinear step.
 Semilinear runs halt early when the sup norm crosses the blow-up
 threshold, the state loses finiteness or the step-doubling error estimate
 exceeds its tolerance; the report keeps the last valid time and names the
@@ -34,6 +34,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError
+from . import grids
 from .grids import Field, spectral_derivative, x_fft, x_ifft
 from .norms import lp_norm
 from .solver import DiscretizedProblem
@@ -107,7 +108,9 @@ class Nonlinearity:
 
 
 class _Propagator:
-    """Per-frequency exact linear flow over one fixed step dt."""
+    """Per-frequency exact linear flow over one fixed step dt.  A state of N
+    values with N^2 <= ``grids.DFT_MAX_WORK`` steps by ``mats``, N x N sample-space
+    matrices (flow, forcing): the identity pushed through the spectral methods."""
 
     def __init__(self, problem: DiscretizedProblem, dt: float):
         self.problem = problem
@@ -144,22 +147,40 @@ class _Propagator:
                 exp_block = scipy.linalg.expm(block)
                 self.e_mats[j] = exp_block[:d, :d]
                 self.p_mats[j] = exp_block[:d, d:]
+        self.mats = None
+        size = problem.grid.n * problem.operator.dim
+        if size * size <= grids.DFT_MAX_WORK:
+            basis = self.to_spectral(np.eye(size, dtype=complex).reshape(
+                (size, problem.grid.n, problem.operator.dim)))
+            # row k of each matrix is the image of sample k
+            self.mats = tuple(self.from_spectral(self.advance(*pair)).reshape(size, size)
+                              for pair in ((basis,), (np.zeros_like(basis), basis)))
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """(n, dim) samples -> coefficients in x-Fourier modes and A's eigenbasis."""
+        """(n, dim) samples -> coefficients in x-Fourier modes and A's eigenbasis
+        (the samples themselves when the flow is one matrix)."""
+        if self.mats is not None:
+            return values
         vh = x_fft(values)
         return vh if self.diag is None else self.fwd(vh)
 
     def advance(self, w: np.ndarray, fw: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance coefficients by dt; forcing coefficients ``fw`` held constant."""
+        if self.mats is not None:
+            e_mat, p_mat = self.mats
+            out = w.reshape(-1) @ e_mat
+            return (out if fw is None else out + fw.reshape(-1) @ p_mat).reshape(w.shape)
         if self.diag is None:
-            out = np.einsum("jab,jb->ja", self.e_mats, w)
-            return out if fw is None else out + np.einsum("jab,jb->ja", self.p_mats, fw)
+            out = np.einsum("jab,...jb->...ja", self.e_mats, w)
+            return out if fw is None else out + np.einsum("jab,...jb->...ja", self.p_mats, fw)
         return self.e_fac * w if fw is None else self.e_fac * w + self.p_fac * fw
 
     def from_spectral(self, w: np.ndarray) -> np.ndarray:
         """Inverse of ``to_spectral``; leading axes before (n, dim) stack
-        coefficient arrays that share the one call."""
+        coefficient arrays that share the one call.  Always a new array, never
+        a view of ``w``, which the semilinear loop reuses."""
+        if self.mats is not None:
+            return w.copy()
         return x_ifft(w if self.diag is None else self.inv(w))
 
 

@@ -26,6 +26,8 @@ from .errors import InvalidArgumentError
 #   (64, 1)       4096     11.3      5.4
 #   (64, 2)       8192     12.1      9.9
 #   (128, 2)     32768     13.3     21.9
+# It also bounds N^2 for evolution's one-matrix step of N = n * dim values;
+# per step, us, spectral vs one matrix: N = 8 6.1 vs 2.1, 64 10.2 vs 4.7.
 DFT_MAX_WORK = 4096
 
 

@@ -3,7 +3,8 @@
 Three kinds: an arbitrary dense matrix (eigenvalues must have positive real
 part), a periodic Sturm-Liouville operator -d^2/dy^2 + b on [0, 1] (circulant,
 diagonalized by the FFT), and a 5-point Dirichlet Laplacian on the unit square
-plus a constant shift (diagonalized by the DST).
+plus a constant shift (diagonalized by the DST-I, applied as two products with
+cached sine matrices).
 
 The spectral contract: a kind defines how A acts (``apply_many``) and its
 eigenbasis (``diagonalization``).  ``OperatorRealization`` derives the rest
@@ -246,15 +247,27 @@ class DirichletLaplacian2D(OperatorRealization):
         return (lap + self._c * inner).reshape(m, self.dim)
 
     def diagonalization(self):
-        import scipy.fft  # only this kind uses it; loading costs ~0.3 s of start-up
-
-        dst2 = lambda grids: scipy.fft.dstn(grids, type=1, axes=(-2, -1), norm="ortho")
+        s_y, s_z = _sine_matrix(self._ny), _sine_matrix(self._nz)
 
         def fwd(rows):
-            grids = rows.reshape(rows.shape[:-1] + (self._ny, self._nz))
-            return (dst2(grids.real) + 1j * dst2(grids.imag)).reshape(rows.shape)
+            # y: one real batched matmul on the float view; z: one gemm
+            grids = np.ascontiguousarray(rows, dtype=complex).reshape(
+                rows.shape[:-1] + (self._ny, self._nz))
+            along_y = (s_y @ grids.view(float)).view(complex)
+            return (along_y.reshape(-1, self._nz) @ s_z).reshape(rows.shape)
 
         return fwd, fwd, self._eigs2d.reshape(-1).astype(complex)
+
+
+@functools.cache
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi jk/(n+1)), j, k = 1..n,
+    with jk reduced mod 2(n+1): symmetric, its own inverse, and read-only,
+    since every Laplacian of that size shares it."""
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
+    mat = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+    mat.flags.writeable = False
+    return mat
 
 
 _KINDS = {cls.kind: cls for cls in (

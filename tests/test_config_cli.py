@@ -362,12 +362,23 @@ def test_cli_rejects_unreadable_or_invalid_json(tmp_path, capsys):
     assert main(["solve-linear", "--config", str(bad)]) == 2
 
 
+# structured operators whose smallest eigenvalue b or (about) 2 pi^2 + c is <= 0
+NON_POSITIVE = {
+    "sturm-liouville-b-negative": {"kind": "periodic-sturm-liouville", "b": -1},
+    "sturm-liouville-b-zero": {"kind": "periodic-sturm-liouville", "b": 0},
+    "laplacian-c-negative": {"kind": "dirichlet-laplacian-2d", "c": -100},
+}
+
+
 @pytest.mark.parametrize("case", ["config-not-utf8", "config-too-deep", "out-is-a-file",
                                   "out-below-a-file", "result-is-a-directory",
-                                  "manifest-is-a-directory"])
+                                  "manifest-is-a-directory", *NON_POSITIVE])
 def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(get_preset("problem-3.7")))
+    config = get_preset("problem-3.7")
+    if case in NON_POSITIVE:
+        config["problem"]["operator"] = NON_POSITIVE[case]
+    cfg.write_text(json.dumps(config))
     blocker = tmp_path / "blocker"
     blocker.write_text("kept")
     argv = ["solve-linear", "--config", str(cfg)]
@@ -377,6 +388,9 @@ def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
     elif case == "config-too-deep":
         cfg.write_text("[" * 100000 + "]" * 100000)
         named = cfg
+    elif case in NON_POSITIVE:
+        kind = NON_POSITIVE[case]["kind"]
+        named = f"problem.operator: {kind} operator must have eigenvalues with positive real part"
     elif case.endswith("-is-a-directory"):
         out = tmp_path / "out"
         named = out / ("solution.csv" if case == "result-is-a-directory" else "manifest.json")

@@ -22,6 +22,7 @@ from coesolve import (
     solve_cauchy_semilinear,
     solve_linear,
 )
+from coesolve import grids
 from coesolve.errors import BlowUpError, InvalidArgumentError
 from coesolve.evolution import (
     DEFAULT_STEP_TOL,
@@ -541,6 +542,77 @@ def test_semilinear_loop_matches_the_reference_loop_bit_for_bit(
     assert not np.shares_memory(state.snapshots[0], u0.values)
     for a, b in itertools.combinations(state.snapshots, 2):
         assert not np.shares_memory(a, b)
+
+
+# Operators whose state on a 16-point grid has N = 16 dim <= 64 values, so
+# that N^2 <= DFT_MAX_WORK and the propagator is one sample-space matrix.
+_TINY = {
+    "dense": lambda: DenseMatrixOperator(_NON_NORMAL),  # N = 48
+    "jordan": lambda: DenseMatrixOperator([[1.0, 1.0], [0.0, 1.0]]),  # N = 32, expm
+    "psl": lambda: PeriodicSturmLiouvilleOperator(b=1.0, n=4),  # N = 64
+    "laplacian": lambda: DirichletLaplacian2D(n_y=2, n_z=2, c=0.5),  # N = 64
+}
+
+
+def _tiny_problem(op, n=16):
+    sym = SymbolSet(
+        l=2, b=(0.5, 0.0, -1.0), a_kernels={2: Kernel("exponential-paper", rate=1.0)}, nu=1.0
+    )
+    prob = DiscretizedProblem(sym, op, Grid(half_width=4.0, n=n), p=2.0)
+    prob.check_condition()
+    return prob
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_TINY)),
+    run=st.sampled_from(["linear", "semilinear", "threshold"]),
+    store_every=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed):
+    """The one-matrix flow of a tiny state gives the snapshots and report of
+    the per-frequency flow (forced with ``DFT_MAX_WORK = 0``), to rounding.
+    A threshold-halted run reports its last accepted state, not the one it
+    rejected."""
+    op = _TINY[kind]()
+    assert (op.diagonalization() is None) == (kind == "jordan")
+    prob = _tiny_problem(op)
+    rng = np.random.default_rng(seed)
+    shape = (prob.grid.n, op.dim)
+    u0, f0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    g, c2, amplitude, threshold, _ = _HALTS["threshold" if run == "threshold" else None]
+    nl = _growth_nonlinearity("polynomial", g, c2, 0.1)
+
+    def solve():
+        assert (_Propagator(prob, 0.01).mats is None) == (grids.DFT_MAX_WORK == 0)
+        if run == "linear":
+            state = solve_cauchy_linear(prob, Field(prob.grid, u0), forcing=lambda t: t * f0,
+                                        t_final=0.2, dt=0.01, store_every=store_every)
+            return state, None
+        return solve_cauchy_semilinear(prob, Field(prob.grid, amplitude * u0), nl, t_final=0.4,
+                                       dt=0.01, blowup_threshold=threshold, step_tol=math.inf,
+                                       store_every=store_every)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grids, "DFT_MAX_WORK", 0)
+        ref_state, ref = solve()
+    state, report = solve()
+    assert state.times == ref_state.times
+    for got, want in zip(state.snapshots, ref_state.snapshots, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    if run != "linear":
+        assert report.halt_reason == ref.halt_reason == ("threshold" if run == "threshold" else None)
+        assert report.t_max == ref.t_max
+        assert report.final_norms["u_sup"] <= threshold
+        assert report.final_norms["u_sup"] == pytest.approx(ref.final_norms["u_sup"], rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, composed", [(32, True), (33, False)])
+def test_only_states_of_at_most_64_values_compose(dim, composed):
+    # N = 2 dim values: 64^2 = DFT_MAX_WORK composes, 66^2 does not
+    prob = _tiny_problem(PeriodicSturmLiouvilleOperator(b=1.0, n=dim), n=2)
+    assert (_Propagator(prob, 0.01).mats is not None) == composed
 
 
 # ---------------------------------------------------------------------------

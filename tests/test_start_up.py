@@ -1,14 +1,15 @@
-"""What a fresh interpreter loads, and the two code paths that load scipy
-submodules themselves.
+"""What a fresh interpreter loads, and the one code path that loads a
+scipy submodule itself.
 
 Several test modules import ``scipy.linalg`` at the top, so only a child
 process shows what the package loads on its own: ``import coesolve.cli``
 and a dense preset, which writes a CSV, leave ``scipy.fft``,
 ``scipy.linalg`` and ``scipy.special`` unloaded, and ``fractions`` and
-``decimal`` too (the CSV writer builds its tables from ints); the
-Laplacian preset (``scipy.fft``) and a defective dense A (the
-``scipy.linalg.expm`` fallback) load them where they are called and write
-the same bytes as an in-process run.  The import builds no DFT matrix for
+``decimal`` too (the CSV writer builds its tables from ints).  The
+Laplacian preset loads none of them either: its DST-I is two products
+with cached sine matrices.  A defective dense A loads ``scipy.linalg``
+for the ``expm`` fallback where it is called.  Both write the same bytes
+in a fresh interpreter as in-process.  The import builds no DFT matrix for
 the small-grid x-transforms either; they are built on first use.
 """
 
@@ -65,19 +66,33 @@ def test_import_builds_no_dft_matrix():
     assert proc.stdout.split() == ["0"]
 
 
+# the CLI in a fresh interpreter; the optional modules it loaded go to stderr
+FRESH = f"""
+import json, sys
+import coesolve.cli
+code = coesolve.cli.main(sys.argv[1:])
+print(json.dumps([m for m in {OPTIONAL!r} if m in sys.modules]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def _fresh_matches_in_process(args, tmp_path, capsys):
-    proc = _child(["-m", "coesolve.cli", *args, "--out", str(tmp_path / "fresh")])
+    """Run ``args`` fresh and in-process; returns the optional modules the
+    fresh run loaded."""
+    proc = _child(["-c", FRESH, *args, "--out", str(tmp_path / "fresh")])
     assert proc.returncode == 0, proc.stderr
     assert main([*args, "--out", str(tmp_path / "here")]) == 0
     assert proc.stdout == capsys.readouterr().out
     fresh, here = _result_files(tmp_path / "fresh"), _result_files(tmp_path / "here")
     assert fresh and fresh == here
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def test_laplacian_preset_in_a_fresh_interpreter(tmp_path, capsys):
-    _fresh_matches_in_process(
+    loaded = _fresh_matches_in_process(
         ["solve-parabolic", "--preset", "example-4.4"], tmp_path, capsys
     )
+    assert loaded == []
 
 
 def test_defective_dense_a_in_a_fresh_interpreter(tmp_path, capsys):
@@ -88,4 +103,7 @@ def test_defective_dense_a_in_a_fresh_interpreter(tmp_path, capsys):
     config["problem"]["grid"]["n"] = 64
     path = tmp_path / "jordan.json"
     path.write_text(json.dumps(config))
-    _fresh_matches_in_process(["solve-parabolic", "--config", str(path)], tmp_path, capsys)
+    loaded = _fresh_matches_in_process(
+        ["solve-parabolic", "--config", str(path)], tmp_path, capsys
+    )
+    assert loaded == ["scipy.linalg"]
