@@ -292,8 +292,9 @@ def solve_bvp_semilinear(
 
     Starts from the F = 0 solve, refeeds F(u_n) as forcing, and stops when
     the sup gap between iterates drops below tol * max(1, sup |u|).
-    Non-convergence is reported, not raised; with ``max_t_halvings`` > 0
-    the strip is shortened (T -> T/2) and the iteration restarted.
+    Non-convergence is reported, not raised, and a non-finite gap stops the
+    iteration at its last finite iterate; with ``max_t_halvings`` > 0 the
+    strip is shortened (T -> T/2) and the iteration restarted.
 
     Returns (StripField, IterationReport).
     """
@@ -305,15 +306,19 @@ def solve_bvp_semilinear(
         modes = _checked_t_modes(problem, bc, current)  # once per strip length
         u = _solve_in_modes(problem, bc, current, modes, None)
         gaps: List[float] = []
-        converged = False
+        converged, message = False, "picard iteration did not converge"
         for _ in range(max_iter):
-            rhs = _evaluate_rhs(nonlinearity, u)
-            u_next = _solve_in_modes(problem, bc, current, modes, rhs)
-            gap = float(np.max(np.abs(u_next.values - u.values)))
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging F overflows
+                rhs = _evaluate_rhs(nonlinearity, u)
+                u_next = _solve_in_modes(problem, bc, current, modes, rhs)
+                gap = float(np.max(np.abs(u_next.values - u.values)))
+            if not np.isfinite(gap):
+                message = "picard iteration lost finiteness"
+                break
             gaps.append(gap)
             u = u_next
             if gap <= tol * max(1.0, float(np.max(np.abs(u.values)))):
-                converged = True
+                converged, message = True, ""
                 break
         if converged or halvings >= max_t_halvings:
             report = IterationReport(
@@ -322,7 +327,7 @@ def solve_bvp_semilinear(
                 gaps=gaps,
                 t_halvings=halvings,
                 t_final=current.t_final,
-                message="" if converged else "picard iteration did not converge",
+                message=message,
             )
             return u, report
         halvings += 1

@@ -15,10 +15,11 @@ for F followed by the exact linear flow, with F evaluated twice per accepted
 step (at u, shared by the full step, the first half step and the F(u)
 integral, and at the midpoint of the two half steps) and two forward and two
 inverse transforms: the new state and the step-doubling difference go back
-to samples in one stacked inverse call.  Over thousands of steps on a
-tiny state (``blowup-ode``: n = 8, dim = 1) those transforms would dominate,
-so a state of N = n dim values with N^2 <= ``grids.DFT_MAX_WORK`` steps by
-one N x N matrix on samples instead: three small matmuls per semilinear step.
+to samples in one stacked inverse call.  A tiny state (N = n dim values with
+N^2 <= ``grids.DFT_MAX_WORK``, as in the 8-point ``blowup-ode``) flows by one
+N x N matrix on samples, and a semilinear run keeps it as samples: a step is
+one batched matmul through the dt and dt/2 flows and one matvec, with no
+transform or copy.  Both paths share the loop that halts, stores and reports.
 Semilinear runs halt early when the sup norm crosses the blow-up
 threshold, the state loses finiteness or the step-doubling error estimate
 exceeds its tolerance; the report keeps the last valid time and names the
@@ -27,6 +28,7 @@ reason.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
@@ -89,15 +91,14 @@ class Nonlinearity:
             return np.zeros_like(np.asarray(args[0], dtype=complex))
         if self.kind == "pointwise-closed-form":
             return np.asarray(self.fn(*args), dtype=complex)
-        args = [a if getattr(a, "dtype", None) == complex else np.asarray(a, dtype=complex)
-                for a in args]
-        out = np.zeros(args[0].shape, dtype=complex)
+        # coeff * factor first, then one new product per factor: numpy's
+        # in-place complex product rounds differently on 1-element arrays
+        out = np.zeros(np.shape(args[0]), dtype=complex)
         for powers, coeff in self.terms:
-            term = np.empty(out.shape, dtype=complex)
-            term.fill(coeff)
+            term = coeff
             for arg, e in zip(args, powers):
                 if e:
-                    term *= arg**e
+                    term = term * np.asarray(arg, dtype=complex) ** e
             out += term
         return out
 
@@ -177,11 +178,10 @@ class _Propagator:
 
     def from_spectral(self, w: np.ndarray) -> np.ndarray:
         """Inverse of ``to_spectral``; leading axes before (n, dim) stack
-        coefficient arrays that share the one call.  Always a new array, never
-        a view of ``w``, which the semilinear loop reuses."""
-        if self.mats is not None:
-            return w.copy()
-        return x_ifft(w if self.diag is None else self.inv(w))
+        coefficient arrays that share the one call.  Off the one-matrix flow
+        this is a new array, never a view of ``w``, which the semilinear loop
+        reuses."""
+        return w if self.mats is not None else x_ifft(w if self.diag is None else self.inv(w))
 
 
 @dataclass
@@ -270,6 +270,84 @@ def solve_cauchy_linear(
     return CauchyState(problem=problem, times=times, snapshots=snaps)
 
 
+class _FIntegral:
+    """Running integral of ||F(u)||_p^p over accepted steps.  F(u) rows wait
+    in a buffer of max(1, DFT_MAX_WORK // N) rows, and each full block is
+    reduced with ``lp_norm``'s ufuncs in its order, so the bits are those of
+    one ``lp_norm`` per step."""
+
+    def __init__(self, shape, dt: float, h: float, p: float):
+        rows = max(1, grids.DFT_MAX_WORK // math.prod(shape))
+        self.buf, self.rows, self.total = np.empty((rows,) + shape, dtype=complex), 0, 0.0
+        self.dt, self.h, self.p = dt, h, p
+
+    def add(self, f: np.ndarray):
+        self.buf[self.rows] = f
+        self.rows += 1
+        if self.rows == len(self.buf):
+            self.flush()
+
+    def flush(self) -> float:
+        block, dt, h, p = self.buf[: self.rows], self.dt, self.h, self.p
+        mags = np.sqrt(np.add.reduce((block.conj() * block).real, axis=-1))
+        for s in np.add.reduce(mags**p, axis=-1).tolist():
+            self.total += dt * ((h * s) ** (1.0 / p)) ** p
+        self.rows = 0
+        return self.total
+
+
+def _spectral_steps(prop: _Propagator, half, nonlinear, values, dt: float):
+    """Steps in spectral coefficients.  Yields F(u) and the samples of the
+    stacked (u_new, u_double - u_new), or None and u_new[None] when ``half``
+    is None (F = 0); resuming accepts u_new."""
+    w = prop.to_spectral(values)
+    pair = np.empty((2,) + w.shape, dtype=complex)  # brought back in one call
+    for step in itertools.count():
+        if half is None:
+            w_new = prop.advance(w)
+            if not np.all(np.isfinite(w_new)):
+                raise BlowUpError(f"linear evolution lost finiteness at t = {step * dt + dt:g}")
+            f_now, samples = None, prop.from_spectral(w_new[None])
+        else:
+            f_now = nonlinear(values)
+            fw = prop.to_spectral(f_now)
+            w_new = prop.advance(w + dt * fw)
+            w_mid = half.advance(w + (dt / 2.0) * fw)
+            f_mid = nonlinear(prop.from_spectral(w_mid))
+            w_double = half.advance(w_mid + (dt / 2.0) * prop.to_spectral(f_mid))
+            pair[0] = w_new
+            np.subtract(w_double, w_new, out=pair[1])
+            samples = prop.from_spectral(pair)
+        yield f_now, samples
+        values, w = samples[0], w_new
+
+
+def _sample_steps(prop: _Propagator, half: _Propagator, nonlinear, values, dt: float):
+    """``_spectral_steps`` for a tiny state kept as samples, with the same
+    bits: the dt and dt/2 flows from u are one batched matmul (a gemv per
+    row, as in ``_Propagator.advance``), the second half step one matvec."""
+    size = values.size
+    flows, half_flow = np.stack([prop.mats[0], half.mats[0]]), half.mats[0]
+    # complex, as dt itself becomes against F(u), so the products keep their bits
+    scale = np.array([dt, dt / 2.0], dtype=complex).reshape(2, 1, 1)
+    # rows 0, u_new, u_mid then u_double: rows[1:] - rows[:2] is the pair
+    rows = np.zeros((3,) + values.shape, dtype=complex)
+    starts = np.empty((2,) + values.shape, dtype=complex)
+    flat_rows, flat_starts = rows.reshape(3, 1, size), starts.reshape(2, 1, size)
+    new_double, zero_new, mid, start2 = rows[1:], rows[:2], rows[2], starts[1]
+    flat_new_mid, flat_mid, flat_start2 = flat_rows[1:], flat_rows[2], flat_starts[1]
+    while True:
+        f_now = nonlinear(values)
+        np.add(values, np.multiply(scale, f_now, out=starts), out=starts)
+        np.matmul(flat_starts, flows, out=flat_new_mid)
+        f_mid = nonlinear(mid)
+        np.add(mid, np.multiply(dt / 2.0, f_mid, out=start2), out=start2)
+        np.matmul(flat_start2, half_flow, out=flat_mid)
+        samples = np.subtract(new_double, zero_new)
+        yield f_now, samples
+        values = samples[0]
+
+
 def solve_cauchy_semilinear(
     problem: DiscretizedProblem,
     u0: Field,
@@ -299,41 +377,24 @@ def solve_cauchy_semilinear(
     half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0)
 
     values = u0.values.copy()
-    w = prop.to_spectral(values)
     times, snaps = [0.0], [values.copy()]
     t = 0.0
     sup_max = _sup_norm(values)
-    f_acc = 0.0  # running integral of ||F(u)||_p^p
-    h, p = problem.grid.h, problem.p
+    f_int = _FIntegral(values.shape, dt, problem.grid.h, problem.p)
     halt_reason, err = None, None
     if nonlinearity.arity == 0:
         nonlinear = lambda u: nonlinearity.evaluate((u,))
     else:
         nonlinear = lambda u: nonlinearity.of_field(Field(problem.grid, u))
-    # w_new and w_double - w_new, brought back to samples in one call
-    pair = np.empty((2,) + w.shape, dtype=complex)
-    for step in range(n_steps):
-        if nonlinearity.is_zero:
-            w_new = prop.advance(w)
-            if not np.all(np.isfinite(w_new)):
-                raise BlowUpError(f"linear evolution lost finiteness at t = {t + dt:g}")
-            new = prop.from_spectral(w_new)
-            sup_new = _sup_norm(new)
-        else:
-            f_now = nonlinear(values)
-            fw = prop.to_spectral(f_now)
-            w_new = prop.advance(w + dt * fw)
-            w_mid = half.advance(w + (dt / 2.0) * fw)
-            f_mid = nonlinear(prop.from_spectral(w_mid))
-            w_double = half.advance(w_mid + (dt / 2.0) * prop.to_spectral(f_mid))
-            pair[0] = w_new
-            np.subtract(w_double, w_new, out=pair[1])
-            samples = prop.from_spectral(pair)
-            new = samples[0]
-            # both sup norms in one abs and one reduce; max is exact, so the bits
-            # are _sup_norm's
-            sup_new, sup_gap = np.maximum.reduce(np.abs(samples).reshape(2, -1), axis=1).tolist()
-            err = sup_gap / max(1.0, sup_new)
+    tiny = half is not None and prop.mats is not None
+    steps = (_sample_steps if tiny else _spectral_steps)(prop, half, nonlinear, values, dt)
+    for step, (f_now, samples) in zip(range(n_steps), steps):
+        # both sup norms in one abs and one reduce; max is exact, so the bits
+        # are _sup_norm's
+        sups = np.maximum.reduce(np.abs(samples), axis=(1, 2)).tolist()
+        sup_new = sups[0]
+        if f_now is not None:
+            err = sups[1] / max(1.0, sup_new)
             if not (math.isfinite(sup_new) and math.isfinite(err)):
                 halt_reason = "non_finite"
             elif sup_new > blowup_threshold:
@@ -342,16 +403,13 @@ def solve_cauchy_semilinear(
                 halt_reason = "step_tol"
             if halt_reason is not None:
                 break
-            # lp_norm(F(u), p) ** p in np.linalg.norm's and np.sum's ufuncs; the
-            # 1/p round trip keeps its bits
-            mags = np.sqrt(np.add.reduce((f_now.conj() * f_now).real, axis=-1))
-            f_acc += dt * float((h * np.add.reduce(mags**p, axis=None)) ** (1.0 / p)) ** p
-        values, w = new, w_new
+            f_int.add(f_now)
+        values = samples[0]
         t = (step + 1) * dt
         sup_max = max(sup_max, sup_new)
         if store_every and (step + 1) % store_every == 0 and step + 1 < n_steps:
             times.append(t)
-            snaps.append(values.copy())  # values views the stacked inverse's output
+            snaps.append(values.copy())  # values views the step's stacked output
     if times[-1] != t:
         times.append(t)
         snaps.append(values.copy())
@@ -366,7 +424,7 @@ def solve_cauchy_semilinear(
         },
         blowup_indicator={
             "u_sup_max": sup_max,
-            "nonlinearity_lp_time": f_acc ** (1.0 / problem.p),
+            "nonlinearity_lp_time": f_int.flush() ** (1.0 / problem.p),
         },
         halt_reason=halt_reason,
         last_error_estimate=err,

@@ -3,6 +3,7 @@ command-line front end (exit codes, outputs, determinism)."""
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,35 @@ def test_semilinear_elliptic_run_converges(tmp_path):
     assert result.summary["iterations"] <= 30
     iters = json.loads(_read(tmp_path / "iterations.json"))
     assert iters["converged"] is True
+
+
+@pytest.mark.parametrize("max_t_halvings", [0, 2])
+def test_diverging_picard_iteration_stops_at_its_last_finite_iterate(
+    max_t_halvings, tmp_path, capsys
+):
+    """F(u) = +u^3 with large boundary data drives the Picard iterates past
+    overflow.  The run stops at the first non-finite gap, on every strip it
+    tries, and reports its last finite iterate: no NaN in the result files
+    and no warning on stderr."""
+    config = get_preset("problem-4.6")
+    s = config["solve-elliptic"]
+    s["bc"]["f1"]["amplitude"], s["bc"]["f2"]["amplitude"] = 50.0, 25.0
+    s["nonlinearity"]["terms"] = [{"powers": [3], "coeff": 1.0}]
+    s["max_iter"], s["max_t_halvings"] = 200, max_t_halvings
+    cfg = tmp_path / "diverging.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve-elliptic", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    iters = json.loads(_read(tmp_path / "out" / "iterations.json"))
+    assert iters["message"] == "picard iteration lost finiteness"
+    assert not iters["converged"] and iters["t_halvings"] == max_t_halvings
+    assert 0 < iters["iterations"] == len(iters["gaps"]) < 200
+    assert all(np.isfinite(iters["gaps"]))
+    for name in ("iterations.json", "solution.csv"):
+        assert b"nan" not in _read(tmp_path / "out" / name).lower()
 
 
 def test_mikhlin_samples_the_certified_frequencies(monkeypatch):

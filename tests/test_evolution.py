@@ -365,10 +365,9 @@ def test_semilinear_step_evaluates_the_nonlinearity_twice():
     assert len(calls) == 2 * 25
 
 
-def test_polynomial_step_evaluates_the_nonlinearity_twice(monkeypatch):
-    """The per-step count goes through ``Nonlinearity.evaluate`` for a
-    polynomial F too, so a counter wrapped around that method reads 2 per
-    accepted step."""
+def _count_polynomial_evaluations(monkeypatch, n):
+    """Per-call argument counts of ``Nonlinearity.evaluate`` over 25 steps of
+    a damped polynomial run on ``convolution_problem(n)`` (N = 2 n values)."""
     calls = []
     evaluate = Nonlinearity.evaluate
 
@@ -377,14 +376,27 @@ def test_polynomial_step_evaluates_the_nonlinearity_twice(monkeypatch):
         return evaluate(self, args)
 
     monkeypatch.setattr(Nonlinearity, "evaluate", counted)
-    prob = convolution_problem(n=64)
+    prob = convolution_problem(n=n)
+    assert (_Propagator(prob, 0.01).mats is not None) == (2 * n <= 64)
     u0 = Field.from_function(prob.grid, lambda x: 0.1 * np.exp(-(x**2)), weights=(1.0, 1.0))
     cubic = Nonlinearity(
         kind="pointwise-polynomial", arity=0, terms=(((3,), -1.0), ((1,), 0.5), ((0,), 0.01))
     )
     _, report = solve_cauchy_semilinear(prob, u0, cubic, t_final=0.25, dt=0.01)
     assert report.completed
-    assert calls == [1] * (2 * 25)
+    return calls
+
+
+def test_polynomial_step_evaluates_the_nonlinearity_twice(monkeypatch):
+    """The per-step count goes through ``Nonlinearity.evaluate`` for a
+    polynomial F too, so a counter wrapped around that method reads 2 per
+    accepted step (spectral path, N = 128)."""
+    assert _count_polynomial_evaluations(monkeypatch, n=64) == [1] * (2 * 25)
+
+
+def test_tiny_polynomial_step_evaluates_the_nonlinearity_twice(monkeypatch):
+    """The sample-space loop of a tiny state (N = 64) reads 2 per step too."""
+    assert _count_polynomial_evaluations(monkeypatch, n=32) == [1] * (2 * 25)
 
 
 def _reference_evaluate(nl, args):
@@ -544,6 +556,40 @@ def test_semilinear_loop_matches_the_reference_loop_bit_for_bit(
         assert not np.shares_memory(a, b)
 
 
+@pytest.mark.parametrize("kind, halt", [
+    ("dense", None),  # N = 48, sample space, 85 rows per block
+    ("psl", None),  # N = 64, sample space, 64 rows per block
+    ("laplacian", None),  # N = 96, spectral, 42 rows per block
+    ("psl", "threshold"),
+])
+def test_f_integral_blocks_match_the_reference_loop_bit_for_bit(kind, halt):
+    """200 steps fill the F(u) accumulator's block more than once, and the
+    threshold run halts inside a block; snapshots, times and report are the
+    reference loop's to the last bit."""
+    op = _operator(kind)
+    prob = _tiny_problem(op)
+    grid = prob.grid
+    g, c2, amplitude, _, step_tol = _HALTS[halt]
+    threshold = 50.0 if halt else math.inf  # psl halts at step 79, inside its second block
+    rng = np.random.default_rng(7)
+    shape = (grid.n, op.dim)
+    u0 = Field(grid, amplitude * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    nl = _growth_nonlinearity("polynomial", g, c2, 0.1)
+    run = dict(
+        t_final=0.4, dt=0.002, blowup_threshold=threshold, step_tol=step_tol, store_every=50
+    )
+    state, report = solve_cauchy_semilinear(prob, u0, nl, **run)
+    times, snaps, ref = _reference_semilinear(prob, u0, nl, **run)
+    rows = grids.DFT_MAX_WORK // (grid.n * op.dim)
+    accepted = round(ref.t_max / run["dt"])
+    assert ref.halt_reason == halt
+    assert accepted > rows and (accepted == 200 if halt is None else accepted % rows)
+    assert state.times == times
+    for got, want in zip(state.snapshots, snaps, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert repr(asdict(report)) == repr(asdict(ref))
+
+
 # Operators whose state on a 16-point grid has N = 16 dim <= 64 values, so
 # that N^2 <= DFT_MAX_WORK and the propagator is one sample-space matrix.
 _TINY = {
@@ -626,6 +672,43 @@ def test_polynomial_evaluation():
     )
     u = np.array([1.0, 2.0, -1.0], dtype=complex)
     assert np.allclose(nl.evaluate((u,)), u**2 - 2.0 * u)
+
+
+_COEFFS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+_FLOATS = st.one_of(_COEFFS, st.sampled_from([math.inf, -math.inf, math.nan, -math.nan]))
+
+
+@st.composite
+def _polynomial_case(draw):
+    """A polynomial F of arity 0-2 (zero powers and constant-only terms
+    included) with finite coefficients, as the config admits, and real or
+    complex arguments with -0.0, inf and nan of either sign."""
+    arity = draw(st.integers(0, 2))
+    powers = st.tuples(*[st.integers(0, 3)] * (arity + 1))
+    coeff = st.builds(complex, _COEFFS, _COEFFS)
+    terms = draw(st.lists(st.tuples(powers, coeff), min_size=1, max_size=4))
+    shape = draw(st.sampled_from([(1,), (5,), (8, 1), (3, 2)]))
+    size = math.prod(shape)
+    args = []
+    for _ in range(arity + 1):
+        real = np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size))).reshape(shape)
+        if draw(st.booleans()):
+            arg = np.empty(shape, dtype=complex)
+            arg.real = real
+            arg.imag = np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size))).reshape(shape)
+            real = arg
+        args.append(real)
+    return Nonlinearity(kind="pointwise-polynomial", arity=arity, terms=terms), tuple(args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_polynomial_case())
+def test_polynomial_evaluation_matches_the_reference_bit_for_bit(case):
+    nl, args = case
+    with np.errstate(all="ignore"):
+        got, want = nl.evaluate(args), _reference_evaluate(nl, args)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_arity_one_feeds_the_spatial_derivative():
