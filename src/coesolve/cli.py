@@ -120,6 +120,7 @@ def main(argv=None) -> int:
         DegenerateSampleError,
         DegenerateSymbolError,
         InvalidArgumentError,
+        MemoryError,
         SingularResolventError,
         SymbolBlowupError,
         np.linalg.LinAlgError,

@@ -8,27 +8,11 @@ Every transform in x is ``x_fft``/``x_ifft``, along axis -2 of (..., n, dim).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-# Largest n * values.size that x_fft/x_ifft run as one matmul with a cached
-# DFT matrix instead of np.fft, whose Python wrapper costs ~10 us per call at
-# any size; FFT libraries also use a direct DFT at tiny sizes (Frigo &
-# Johnson, Proc. IEEE 93, 2005).  The matmul agrees with np.fft to rounding,
-# so larger arrays keep np.fft and its bits.  Per call, us, best of 5 x 2000,
-# 2-vCPU x86-64 host, numpy 2.4 with OpenBLAS:
-#   shape     n * size   np.fft   matmul
-#   (8, 1)          64      9.8      2.3
-#   (64, 1)       4096     11.3      5.4
-#   (64, 2)       8192     12.1      9.9
-#   (128, 2)     32768     13.3     21.9
-# It also bounds N^2 for evolution's one-matrix step of N = n * dim values;
-# per step, us, spectral vs one matrix: N = 8 6.1 vs 2.1, 64 10.2 vs 4.7.
-DFT_MAX_WORK = 4096
 
 
 @dataclass(frozen=True)
@@ -43,6 +27,8 @@ class Grid:
             raise InvalidArgumentError("half_width must be positive")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise InvalidArgumentError("n must be a power of two >= 2")
+        if not np.isfinite(self.h):
+            raise InvalidArgumentError("grid spacing 2 half_width / n must be finite")
 
     @property
     def h(self) -> float:
@@ -85,27 +71,13 @@ class Field:
         return cls(grid, profile[:, None] * w[None, :])
 
 
-@functools.cache
-def _dft_matrix(n: int, inverse: bool) -> np.ndarray:
-    """The n x n (inverse) DFT matrix, read-only since every caller shares it."""
-    mat = (np.fft.ifft if inverse else np.fft.fft)(np.eye(n), axis=0)
-    mat.flags.writeable = False
-    return mat
-
-
 def x_fft(values: np.ndarray) -> np.ndarray:
     """DFT along axis -2, the x axis of (..., n, dim) arrays."""
-    n = values.shape[-2]
-    if n * values.size <= DFT_MAX_WORK:
-        return _dft_matrix(n, False) @ values
     return np.fft.fft(values, axis=-2)
 
 
 def x_ifft(values: np.ndarray) -> np.ndarray:
     """Inverse of ``x_fft``, also along axis -2."""
-    n = values.shape[-2]
-    if n * values.size <= DFT_MAX_WORK:
-        return _dft_matrix(n, True) @ values
     return np.fft.ifft(values, axis=-2)
 
 

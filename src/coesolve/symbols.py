@@ -147,9 +147,7 @@ def scalar_prefactor(symbols: SymbolSet, index: Union[int, str], xi, lam: comple
         raise DegenerateSymbolError("|mu_hat + nu| below machine-safe floor")
     if index == "sigma":
         out = (1.0 + lam) / den
-    elif index == 0:
-        out = 1.0 / den
-    elif index == 2:
+    elif index in (0, 2):
         out = 1.0 / den
     elif index == 4:
         out = np.asarray(symbols.mu_hat(xi), dtype=complex) / den

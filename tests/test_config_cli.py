@@ -186,6 +186,8 @@ BAD_EDITS = [
     ("blowup-ode", ("solve-parabolic", "blowup_threshold"), -1,
      "solve-parabolic.blowup_threshold"),
     ("blowup-ode", ("solve-parabolic", "step_tol"), -1, "solve-parabolic.step_tol"),
+    # a half-width that passes its own check but whose spacing 2 X / n overflows
+    ("problem-3.7", ("problem", "grid", "half_width"), 1e308, "problem.grid"),
 ]
 
 
@@ -477,6 +479,26 @@ def test_cli_exit_codes_for_failing_runs(tmp_path, capsys):
     cfg3 = tmp_path / "degenerate.json"
     cfg3.write_text(json.dumps(elliptic))
     assert main(["solve-elliptic", "--config", str(cfg3)]) == 3
+
+
+# Sizes the schema admits whose first array needs 8 PiB: numpy refuses it at
+# once, whatever the overcommit policy, so nothing is allocated.
+OVERSIZED = [
+    ("problem-3.7", ("problem", "grid", "n"), 2**50),
+    ("example-4.3-condition", ("check-condition", "xi_points_per_side"), 2**50),
+    ("norms-gaussian", ("norms-report", "norms", 4, "time_points"), 2**50),
+]
+
+
+@pytest.mark.parametrize("preset, keys, value", OVERSIZED)
+def test_an_oversized_run_is_a_numerical_failure(preset, keys, value, tmp_path, capsys):
+    config = get_preset(preset)
+    _set(config, keys, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([config["scenario"], "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Unable to allocate") and "Traceback" not in err
 
 
 def test_cli_rbound_with_even_exponential_kernel(tmp_path, capsys):

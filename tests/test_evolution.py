@@ -22,7 +22,7 @@ from coesolve import (
     solve_cauchy_semilinear,
     solve_linear,
 )
-from coesolve import grids
+from coesolve import evolution
 from coesolve.errors import BlowUpError, InvalidArgumentError
 from coesolve.evolution import (
     DEFAULT_STEP_TOL,
@@ -580,7 +580,7 @@ def test_f_integral_blocks_match_the_reference_loop_bit_for_bit(kind, halt):
     )
     state, report = solve_cauchy_semilinear(prob, u0, nl, **run)
     times, snaps, ref = _reference_semilinear(prob, u0, nl, **run)
-    rows = grids.DFT_MAX_WORK // (grid.n * op.dim)
+    rows = evolution.MATRIX_STEP_MAX_WORK // (grid.n * op.dim)
     accepted = round(ref.t_max / run["dt"])
     assert ref.halt_reason == halt
     assert accepted > rows and (accepted == 200 if halt is None else accepted % rows)
@@ -591,7 +591,7 @@ def test_f_integral_blocks_match_the_reference_loop_bit_for_bit(kind, halt):
 
 
 # Operators whose state on a 16-point grid has N = 16 dim <= 64 values, so
-# that N^2 <= DFT_MAX_WORK and the propagator is one sample-space matrix.
+# that N^2 <= MATRIX_STEP_MAX_WORK and the propagator is one sample-space matrix.
 _TINY = {
     "dense": lambda: DenseMatrixOperator(_NON_NORMAL),  # N = 48
     "jordan": lambda: DenseMatrixOperator([[1.0, 1.0], [0.0, 1.0]]),  # N = 32, expm
@@ -618,7 +618,7 @@ def _tiny_problem(op, n=16):
 )
 def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed):
     """The one-matrix flow of a tiny state gives the snapshots and report of
-    the per-frequency flow (forced with ``DFT_MAX_WORK = 0``), to rounding.
+    the per-frequency flow (forced with ``MATRIX_STEP_MAX_WORK = 0``), to rounding.
     A threshold-halted run reports its last accepted state, not the one it
     rejected."""
     op = _TINY[kind]()
@@ -631,7 +631,7 @@ def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed)
     nl = _growth_nonlinearity("polynomial", g, c2, 0.1)
 
     def solve():
-        assert (_Propagator(prob, 0.01).mats is None) == (grids.DFT_MAX_WORK == 0)
+        assert (_Propagator(prob, 0.01).mats is None) == (evolution.MATRIX_STEP_MAX_WORK == 0)
         if run == "linear":
             state = solve_cauchy_linear(prob, Field(prob.grid, u0), forcing=lambda t: t * f0,
                                         t_final=0.2, dt=0.01, store_every=store_every)
@@ -641,7 +641,7 @@ def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed)
                                        store_every=store_every)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grids, "DFT_MAX_WORK", 0)
+        patch.setattr(evolution, "MATRIX_STEP_MAX_WORK", 0)
         ref_state, ref = solve()
     state, report = solve()
     assert state.times == ref_state.times
@@ -656,7 +656,7 @@ def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed)
 
 @pytest.mark.parametrize("dim, composed", [(32, True), (33, False)])
 def test_only_states_of_at_most_64_values_compose(dim, composed):
-    # N = 2 dim values: 64^2 = DFT_MAX_WORK composes, 66^2 does not
+    # N = 2 dim values: 64^2 = MATRIX_STEP_MAX_WORK composes, 66^2 does not
     prob = _tiny_problem(PeriodicSturmLiouvilleOperator(b=1.0, n=dim), n=2)
     assert (_Propagator(prob, 0.01).mats is not None) == composed
 

@@ -104,10 +104,10 @@ def uses_fft(path):
 
 
 def test_only_grids_transforms_in_x():
-    """Every x-transform goes through ``grids.x_fft``/``x_ifft``, which choose
-    between the cached DFT and ``np.fft`` by size.  ``operators`` keeps
+    """Every x-transform goes through ``grids.x_fft``/``x_ifft``, which fix
+    the x axis (-2) of ``np.fft`` in one place.  ``operators`` keeps
     ``np.fft`` for the periodic Sturm-Liouville eigenbasis: a transform along
-    the operator's y axis (the last axis), where that size rule does not apply."""
+    the operator's y axis (the last axis), not the x axis."""
     package = sorted((ROOT / "src" / "coesolve").glob("*.py"))
     assert {path.stem for path in package if uses_fft(path)} == {"grids", "operators"}
 

@@ -9,8 +9,7 @@ and a dense preset, which writes a CSV, leave ``scipy.fft``,
 Laplacian preset loads none of them either: its DST-I is two products
 with cached sine matrices.  A defective dense A loads ``scipy.linalg``
 for the ``expm`` fallback where it is called.  Both write the same bytes
-in a fresh interpreter as in-process.  The import builds no DFT matrix for
-the small-grid x-transforms either; they are built on first use.
+in a fresh interpreter as in-process.
 """
 
 import copy
@@ -57,13 +56,6 @@ def test_import_and_a_dense_run_load_no_optional_scipy_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"exit": 0, "loaded": {"import": [], "run": []}}
-
-
-def test_import_builds_no_dft_matrix():
-    code = "import coesolve.cli; print(coesolve.grids._dft_matrix.cache_info().currsize)"
-    proc = _child(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
 
 
 # the CLI in a fresh interpreter; the optional modules it loaded go to stderr
