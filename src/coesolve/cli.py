@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,7 +41,9 @@ EXIT_NUMERICAL = 3
 EXIT_ADMISSIBILITY = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coesolve",
         description="Spectral solver and verification toolkit for "

@@ -21,6 +21,11 @@ N x N matrix on samples, built once from the spectral flow, and a semilinear
 run keeps it as samples: a step is one batched matmul through the dt and dt/2
 flows and one matvec, with no transform or copy.  Both paths share the loop
 that halts, stores and reports.
+A real problem (real A, symbols Hermitian on the grid) with real u0, no
+forcing and F zero or an arity-0 real polynomial keeps float64 samples and
+steps on the n/2 + 1 non-negative x-frequencies (``x_rfft``/``x_irfft``),
+the Nyquist row by the real parts of its symbols; other runs and tiny states
+stay complex.
 Semilinear runs halt early when the sup norm crosses the blow-up
 threshold, the state loses finiteness or the step-doubling error estimate
 exceeds its tolerance; the report keeps the last valid time and names the
@@ -29,6 +34,7 @@ reason.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -37,7 +43,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError
-from .grids import Field, spectral_derivative, x_fft, x_ifft
+from .grids import Field, spectral_derivative, x_fft, x_ifft, x_irfft, x_rfft
 from .norms import lp_norm
 from .solver import DiscretizedProblem
 
@@ -63,6 +69,8 @@ class Nonlinearity:
     arity: int = 0
     terms: tuple = ()
     fn: Optional[Callable] = None
+    # zero, or a polynomial with real coefficients: real samples give real F
+    real: bool = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "pointwise-polynomial", "pointwise-closed-form"):
@@ -81,27 +89,36 @@ class Nonlinearity:
             object.__setattr__(self, "terms", terms)
         if self.kind == "pointwise-closed-form" and self.fn is None:
             raise InvalidArgumentError("closed-form nonlinearity needs fn")
+        object.__setattr__(self, "real", self.kind != "pointwise-closed-form"
+                           and all(c.imag == 0 for _, c in self.terms))
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "none"
 
     def evaluate(self, args):
-        """args is a tuple of arity + 1 arrays of identical shape."""
+        """args is a tuple of arity + 1 arrays of identical shape.  A polynomial
+        with real coefficients on float arrays gives float64, else complex."""
         if len(args) != self.arity + 1:
             raise InvalidArgumentError(f"expected {self.arity + 1} arguments")
         if self.kind == "none":
             return np.zeros_like(np.asarray(args[0], dtype=complex))
         if self.kind == "pointwise-closed-form":
             return np.asarray(self.fn(*args), dtype=complex)
+        # float powers are repeated products: ``**`` on floats calls libm
+        # pow, about 80 times slower for a cube
+        first = np.asarray(args[0])
+        real = self.real and first.dtype.kind != "c" and not any(map(np.iscomplexobj, args[1:]))
+        dtype = float if real else complex
         # coeff * factor first, then one new product per factor: numpy's
         # in-place complex product rounds differently on 1-element arrays
-        out = np.zeros(np.shape(args[0]), dtype=complex)
+        out = np.zeros(first.shape, dtype=dtype)
         for powers, coeff in self.terms:
-            term = coeff
+            term = coeff.real if real else coeff
             for arg, e in zip(args, powers):
                 if e:
-                    term = term * np.asarray(arg, dtype=complex) ** e
+                    arg = np.asarray(arg, dtype=dtype)
+                    term = term * (functools.reduce(np.multiply, [arg] * e) if real else arg**e)
             out += term
         return out
 
@@ -115,13 +132,21 @@ class _Propagator:
     """Per-frequency exact linear flow over one fixed step dt.  A state of N
     values with N^2 <= ``MATRIX_STEP_MAX_WORK`` steps by ``mats``, N x N
     sample-space matrices (flow, forcing): the identity pushed once through
-    the spectral methods, whose x-transforms are ``np.fft``."""
+    the spectral methods, whose x-transforms are ``np.fft``.  ``real`` asks
+    for the flow of real samples on the rows of ``x_rfft``; ``self.real`` says
+    whether the problem allows it (a larger state, a real A, Hermitian symbols)."""
 
-    def __init__(self, problem: DiscretizedProblem, dt: float):
+    def __init__(self, problem: DiscretizedProblem, dt: float, real: bool = False):
         self.problem = problem
         self.dt = float(dt)
+        size = problem.grid.n * problem.operator.dim
+        tiny = size * size <= MATRIX_STEP_MAX_WORK
         den = problem.denominator_on_grid()
         eta = problem.eta_on_grid()
+        self.real = (real and not tiny and problem.operator.real
+                     and _hermitian(den) and _hermitian(eta))
+        if self.real:
+            den, eta = _half_spectrum(den), _half_spectrum(eta)
         diag = problem.operator.diagonalization()
         self.diag = diag
         if diag is not None:
@@ -140,21 +165,19 @@ class _Propagator:
             import scipy.linalg  # only this fallback uses it; kept out of start-up
 
             a = problem.operator.as_dense()
-            d = a.shape[0]
-            n = problem.grid.n
-            self.e_mats = np.empty((n, d, d), dtype=complex)
-            self.p_mats = np.empty((n, d, d), dtype=complex)
+            d, rows = a.shape[0], len(den)
+            self.e_mats = np.empty((rows, d, d), dtype=complex)
+            self.p_mats = np.empty((rows, d, d), dtype=complex)
             eye = np.eye(d)
             zero = np.zeros((d, d))
-            for j in range(n):
+            for j in range(rows):
                 m = den[j] * (a + eta[j] * eye)
                 block = np.block([[-self.dt * m, self.dt * eye], [zero, zero]])
                 exp_block = scipy.linalg.expm(block)
                 self.e_mats[j] = exp_block[:d, :d]
                 self.p_mats[j] = exp_block[:d, d:]
         self.mats = None
-        size = problem.grid.n * problem.operator.dim
-        if size * size <= MATRIX_STEP_MAX_WORK:
+        if tiny:
             basis = self.to_spectral(np.eye(size, dtype=complex).reshape(
                 (size, problem.grid.n, problem.operator.dim)))
             # row k of each matrix is the image of sample k
@@ -166,7 +189,7 @@ class _Propagator:
         (the samples themselves when the flow is one matrix)."""
         if self.mats is not None:
             return values
-        vh = x_fft(values)
+        vh = x_rfft(values) if self.real else x_fft(values)
         return vh if self.diag is None else self.fwd(vh)
 
     def advance(self, w: np.ndarray, fw: Optional[np.ndarray] = None) -> np.ndarray:
@@ -185,7 +208,22 @@ class _Propagator:
         coefficient arrays that share the one call.  Off the one-matrix flow
         this is a new array, never a view of ``w``, which the semilinear loop
         reuses."""
-        return w if self.mats is not None else x_ifft(w if self.diag is None else self.inv(w))
+        if self.mats is not None:
+            return w
+        w = w if self.diag is None else self.inv(w)
+        return x_irfft(w, self.problem.grid.n) if self.real else x_ifft(w)
+
+
+def _hermitian(sym: np.ndarray) -> bool:
+    """Whether sym[j] == conj(sym[n - j]) for 0 < j < n/2, bit for bit, and sym[0] is real."""
+    half = len(sym) // 2
+    return sym[0].imag == 0 and np.array_equal(sym[1:half], sym[:half:-1].conj())
+
+
+def _half_spectrum(sym: np.ndarray) -> np.ndarray:
+    """The symbol on the rows of ``x_rfft``, the unpaired Nyquist row by its real part."""
+    half = len(sym) // 2
+    return np.append(sym[:half], sym[half].real)
 
 
 @dataclass
@@ -195,6 +233,7 @@ class CauchyState:
     problem: DiscretizedProblem
     times: List[float]
     snapshots: List[np.ndarray]
+    real: bool = False  # float64 samples, stepped on the x_rfft rows
 
     @property
     def t(self) -> float:
@@ -255,9 +294,10 @@ def solve_cauchy_linear(
     problem.require_checked()
     problem.validate_field(u0)
     n_steps = step_count(t_final, dt)
-    prop = _Propagator(problem, dt)
-    w = prop.to_spectral(u0.values)
-    times, snaps = [0.0], [u0.values.copy()]
+    prop = _Propagator(problem, dt, real=forcing is None and not np.any(u0.values.imag))
+    values = u0.values.real.copy() if prop.real else u0.values.copy()
+    w = prop.to_spectral(values)
+    times, snaps = [0.0], [values]
     t = 0.0
     for step in range(n_steps):
         fw = prop.to_spectral(forcing(t)) if forcing is not None else None
@@ -271,7 +311,7 @@ def solve_cauchy_linear(
                 raise BlowUpError(f"linear evolution lost finiteness at t = {t:g}")
             times.append(t)
             snaps.append(values)
-    return CauchyState(problem=problem, times=times, snapshots=snaps)
+    return CauchyState(problem, times, snaps, prop.real)
 
 
 class _FIntegral:
@@ -280,9 +320,9 @@ class _FIntegral:
     is reduced with ``lp_norm``'s ufuncs in its order, so the bits are those of
     one ``lp_norm`` per step."""
 
-    def __init__(self, shape, dt: float, h: float, p: float):
-        rows = max(1, MATRIX_STEP_MAX_WORK // math.prod(shape))
-        self.buf, self.rows, self.total = np.empty((rows,) + shape, dtype=complex), 0, 0.0
+    def __init__(self, values: np.ndarray, dt: float, h: float, p: float):
+        rows = max(1, MATRIX_STEP_MAX_WORK // values.size)
+        self.buf, self.rows, self.total = np.empty((rows,) + values.shape, values.dtype), 0, 0.0
         self.dt, self.h, self.p = dt, h, p
 
     def add(self, f: np.ndarray):
@@ -377,14 +417,15 @@ def solve_cauchy_semilinear(
     problem.require_checked()
     problem.validate_field(u0)
     n_steps = step_count(t_final, dt)
-    prop = _Propagator(problem, dt)
-    half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0)
+    real = nonlinearity.real and nonlinearity.arity == 0 and not np.any(u0.values.imag)
+    prop = _Propagator(problem, dt, real=real)
+    half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0, prop.real)
 
-    values = u0.values.copy()
+    values = u0.values.real.copy() if prop.real else u0.values.copy()
     times, snaps = [0.0], [values.copy()]
     t = 0.0
     sup_max = _sup_norm(values)
-    f_int = _FIntegral(values.shape, dt, problem.grid.h, problem.p)
+    f_int = _FIntegral(values, dt, problem.grid.h, problem.p)
     halt_reason, err = None, None
     if nonlinearity.arity == 0:
         nonlinear = lambda u: nonlinearity.evaluate((u,))
@@ -417,7 +458,7 @@ def solve_cauchy_semilinear(
     if times[-1] != t:
         times.append(t)
         snaps.append(values.copy())
-    state = CauchyState(problem=problem, times=times, snapshots=snaps)
+    state = CauchyState(problem, times, snaps, prop.real)
     final = Field(problem.grid, values)
     report = MaximalSolutionReport(
         completed=halt_reason is None,

@@ -3,7 +3,9 @@
 The whole-line problem is truncated to [-X, X) with n equispaced points
 (n a power of two), so FFT frequencies are xi_j = pi j / X.  Fields carry
 (n, dim) complex samples; dim is the dimension of the operator stand-in.
-Every transform in x is ``x_fft``/``x_ifft``, along axis -2 of (..., n, dim).
+Every transform in x is ``x_fft``/``x_ifft``, or ``x_rfft``/``x_irfft`` on
+the n/2 + 1 non-negative frequencies of real samples, along axis -2 of
+(..., n, dim).
 """
 
 from __future__ import annotations
@@ -79,6 +81,16 @@ def x_fft(values: np.ndarray) -> np.ndarray:
 def x_ifft(values: np.ndarray) -> np.ndarray:
     """Inverse of ``x_fft``, also along axis -2."""
     return np.fft.ifft(values, axis=-2)
+
+
+def x_rfft(values: np.ndarray) -> np.ndarray:
+    """``x_fft`` of real samples, rows 0 .. n/2 only (the rest are their conjugates)."""
+    return np.fft.rfft(values, axis=-2)
+
+
+def x_irfft(values: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``x_rfft`` to n real samples along axis -2."""
+    return np.fft.irfft(values, n=n, axis=-2)
 
 
 def spectral_derivative(field: Field, order: int) -> Field:

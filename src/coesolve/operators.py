@@ -22,6 +22,9 @@ it off the eigenvalues without a dense matrix.  A dense A is not unitarily
 diagonalizable in general, and for a non-normal A the eigenvalues do not
 give the resolvent norm (Trefethen & Embree, "Spectra and Pseudospectra",
 2005), so it keeps ``unitary`` False and the SVD.
+
+A kind whose matrix is real sets ``real`` (the structured kinds; a dense A
+with zero imaginary part): the time stepper then keeps real data real.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ class OperatorRealization:
     kind = "abstract"
     # True when ``diagonalization`` transforms are unitary (see the module docstring).
     unitary = False
+    real = False  # see the module docstring
 
     @property
     def dim(self) -> int:
@@ -127,6 +131,7 @@ class DenseMatrixOperator(OperatorRealization):
             )
         self._m = m
         self._eigs, self._vecs = eigs, vecs
+        self.real = not np.any(m.imag)
 
     @classmethod
     def from_csv(cls, path):
@@ -179,6 +184,7 @@ class PeriodicSturmLiouvilleOperator(OperatorRealization):
 
     kind = "periodic-sturm-liouville"
     unitary = True
+    real = True
 
     def __init__(self, b: float = 1.0, n: int = 128):
         if n < 3:
@@ -218,6 +224,7 @@ class DirichletLaplacian2D(OperatorRealization):
 
     kind = "dirichlet-laplacian-2d"
     unitary = True
+    real = True
 
     def __init__(self, n_y: int = 32, n_z: int = 32, c: float = 0.0):
         if n_y < 1 or n_z < 1:

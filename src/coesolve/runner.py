@@ -55,6 +55,7 @@ class _Run:
         self.out = out
         self.summary = summary
         self.files = {}
+        self.manifest = {}  # run facts that go to manifest.json only
 
     def field(self, parsed):
         """Sample a field spec parsed by the section schema."""
@@ -180,6 +181,7 @@ def _solve_parabolic(run, s):
         }}
         run.summary.update(report)
         run.emit("report.json", report)
+    run.manifest["x_spectrum"] = "real-half" if state.real else "complex"
     run.emit("trajectory.csv",
              lambda: field_table(problem.grid.x, np.stack(state.snapshots), state.times))
 
@@ -294,6 +296,7 @@ def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> Run
             },
             "elapsed_seconds": elapsed,
             "outputs": sorted(run.files),
+            **run.manifest,
         }
         run.emit("manifest.json", manifest)
     return RunResult(scenario, run.summary, run.files, exit_code)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from coesolve import run_scenario, validate_config
-from coesolve.cli import main
+from coesolve.cli import build_parser, main
 import coesolve.runner as runner
 from coesolve.config import SCENARIOS, _component_weights, build_problem
 from coesolve.errors import ConfigError
@@ -226,6 +226,7 @@ def test_condition_run_passes_and_persists(tmp_path):
     assert manifest["outputs"] == ["condition_report.json"]
     assert manifest["seed"] == 0
     assert len(manifest["config_sha256"]) == 64
+    assert "x_spectrum" not in manifest  # a fact of parabolic runs only
 
 
 def test_failed_condition_run_exits_four(tmp_path):
@@ -336,6 +337,22 @@ def test_runner_seed_override():
     other = run_scenario(config, seed=2)
     assert base.summary["value"] == again.summary["value"]
     assert abs(other.summary["value"] - base.summary["value"]) <= 0.1 * base.summary["value"]
+
+
+@pytest.mark.parametrize("name, spectrum", [
+    ("example-4.3", "real-half"),  # real dense A, F = 0
+    ("example-4.4", "real-half"),  # Laplacian, cubic F
+    ("blowup-ode", "complex"),  # 8 values: the tiny sample-space flow
+])
+def test_parabolic_manifest_records_the_x_spectrum(tmp_path, name, spectrum):
+    """The manifest names the spectrum the run stepped on; a real-half run
+    writes exact zeros in every im_u column."""
+    run_scenario(get_preset(name), out_dir=tmp_path, preset_name=name)
+    assert json.loads(_read(tmp_path / "manifest.json"))["x_spectrum"] == spectrum
+    if spectrum == "real-half":
+        header, *rows = _read(tmp_path / "trajectory.csv").decode().splitlines()
+        im = [i for i, col in enumerate(header.split(",")) if col.startswith("im_u")]
+        assert {row.split(",")[i] for row in rows for i in im} == {"0"}
 
 
 def test_semilinear_parabolic_rejects_forcing():
@@ -519,6 +536,23 @@ def test_cli_presets_listing(capsys):
     for name in ("example-4.3", "example-4.4", "problem-3.7", "problem-4.6"):
         assert name in out
     assert "solve-parabolic" in out
+
+
+def test_cli_builds_its_parser_once_per_process(capsys):
+    """Two runs in one process share one parser and print what two runs,
+    each with a parser of its own, print."""
+    argvs = [["check-condition", "--preset", "example-4.3-condition"],
+             ["solve-linear", "--preset", "problem-3.7"]]
+    build_parser.cache_clear()
+    assert [main(argv) for argv in argvs] == [0, 0]
+    assert build_parser.cache_info().misses == 1
+    shared = capsys.readouterr().out
+    separate = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        separate.append(capsys.readouterr().out)
+    assert shared == "".join(separate)
 
 
 def test_cli_presets_dump(capsys):

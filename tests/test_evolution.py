@@ -30,7 +30,7 @@ from coesolve.evolution import (
     _Propagator,
     step_count,
 )
-from coesolve.grids import spectral_derivative
+from coesolve.grids import band_limited_random, spectral_derivative
 from coesolve.operators import (
     DenseMatrixOperator,
     DirichletLaplacian2D,
@@ -662,6 +662,131 @@ def test_only_states_of_at_most_64_values_compose(dim, composed):
 
 
 # ---------------------------------------------------------------------------
+# real problems on the half spectrum
+# ---------------------------------------------------------------------------
+
+# Real operators whose state on a 32-point grid has N = 32 dim > 64 values,
+# so that the propagator steps in spectral coefficients.
+_REAL_OPS = {
+    "psl": lambda: PeriodicSturmLiouvilleOperator(b=1.0, n=4),
+    "laplacian": lambda: DirichletLaplacian2D(n_y=2, n_z=3, c=0.5),
+    "dense": lambda: DenseMatrixOperator(_NON_NORMAL),
+    "jordan": lambda: DenseMatrixOperator([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]),
+}
+
+
+def _real_problem(op, nu=1.0, kernel="exponential-paper"):
+    sym = SymbolSet(l=2, b=(0.5, 0.0, -1.0), a_kernels={2: Kernel(kernel, rate=1.0)}, nu=nu)
+    prob = DiscretizedProblem(sym, op, Grid(half_width=4.0, n=32), p=2.0)
+    prob.check_condition()
+    return prob
+
+
+def _nyquist_real(symbol_on_grid):
+    """``symbol_on_grid`` with the unpaired Nyquist value replaced by its real part."""
+    def patched():
+        sym = symbol_on_grid().copy()
+        sym[len(sym) // 2] = sym[len(sym) // 2].real
+        return sym
+    return patched
+
+
+def _real_run(prob, u0, nl, store_every):
+    """(state, report) of a linear run (``nl`` None, report None) or a semilinear one."""
+    if nl is None:
+        return solve_cauchy_linear(prob, u0, t_final=0.2, dt=0.01, store_every=store_every), None
+    return solve_cauchy_semilinear(prob, u0, nl, t_final=0.2, dt=0.01, store_every=store_every)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_REAL_OPS)),
+    kernel=st.sampled_from(["exponential-paper", "exponential-standard", "gaussian"]),
+    form=st.sampled_from(["linear", "zero", "polynomial"]),
+    coeffs=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    max_mode=st.integers(1, 8),
+    store_every=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_path_matches_the_complex_path(
+    kind, kernel, form, coeffs, max_mode, store_every, seed
+):
+    """Real band-limited data under a real operator steps on the n/2 + 1
+    non-negative frequencies with float64 samples, and gives the complex
+    path's snapshots and report to rounding.  The complex path runs on the
+    symbols with a real Nyquist value, which is the operator the real path
+    integrates; for the even kernels that changes nothing, and for the odd
+    one the two differ only where F feeds the Nyquist mode."""
+    op = _REAL_OPS[kind]()
+    assert (op.diagonalization() is None) == (kind == "jordan")
+    prob = _real_problem(op, kernel=kernel)
+    u0 = band_limited_random(prob.grid, np.random.default_rng(seed), max_mode, dim=op.dim)
+    u0 = Field(prob.grid, 0.3 * u0.values)
+    c0, c1, c2, c3 = coeffs
+    nl = {
+        "linear": None,
+        "zero": Nonlinearity(kind="none"),
+        "polynomial": Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(
+            ((0,), c0), ((1,), c1), ((2,), c2), ((3,), c3))),
+    }[form]
+    assert _Propagator(prob, 0.01, real=True).real
+    state, report = _real_run(prob, u0, nl, store_every)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_hermitian", lambda sym: False)
+        for name in ("denominator_on_grid", "eta_on_grid"):
+            patch.setattr(prob, name, _nyquist_real(getattr(prob, name)))
+        ref_state, ref = _real_run(prob, u0, nl, store_every)
+    assert state.real and not ref_state.real
+    assert state.times == ref_state.times
+    scale = max(np.max(np.abs(want)) for want in ref_state.snapshots)
+    for got, want in zip(state.snapshots, ref_state.snapshots, strict=True):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    if report is not None:
+        assert (report.halt_reason, report.t_max) == (ref.halt_reason, ref.t_max)
+        for key in ("u_lp", "u_sup"):
+            assert report.final_norms[key] == pytest.approx(ref.final_norms[key], rel=1e-12,
+                                                            abs=1e-12 * scale)
+
+
+def _cubic(coeff=-1.0):
+    return Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(((3,), coeff),))
+
+
+@pytest.mark.parametrize("case", [
+    "complex data", "complex coefficient", "complex dense A", "forcing", "closed-form F",
+    "arity 1", "complex F coefficient", "tiny state",
+])
+def test_what_takes_the_complex_path(case):
+    """Each departure from a real problem with real data and no forcing
+    keeps the complex spectrum, on the propagator and on the run."""
+    op = _REAL_OPS["dense"]()
+    if case == "complex dense A":
+        op = DenseMatrixOperator(_NON_NORMAL + 0.1j * np.eye(3))
+    prob = _real_problem(op, nu=1.0 + 0.1j if case == "complex coefficient" else 1.0)
+    if case == "tiny state":
+        prob = _tiny_problem(op)
+    grid = prob.grid
+    u0 = band_limited_random(grid, np.random.default_rng(0), 2, dim=op.dim).values
+    if case == "complex data":
+        u0 = u0 + 1e-3j
+    nl = {
+        "closed-form F": Nonlinearity(kind="pointwise-closed-form", arity=0, fn=lambda u: -u**3),
+        "arity 1": Nonlinearity(kind="pointwise-polynomial", arity=1, terms=(((1, 1), -1.0),)),
+        "complex F coefficient": _cubic(-1.0 + 0.5j),
+    }.get(case, _cubic())
+    propagator_real = case not in ("complex coefficient", "complex dense A", "tiny state")
+    assert _Propagator(prob, 0.01, real=True).real == propagator_real
+    if case == "forcing":
+        state = solve_cauchy_linear(prob, Field(grid, u0), forcing=lambda t: 0.0 * u0,
+                                    t_final=0.05, dt=0.01)
+    else:
+        state, _ = solve_cauchy_semilinear(prob, Field(grid, u0), nl, t_final=0.05, dt=0.01)
+    assert not state.real
+    assert all(snap.dtype == complex for snap in state.snapshots)
+
+
+# ---------------------------------------------------------------------------
 # nonlinearity plumbing
 # ---------------------------------------------------------------------------
 
@@ -704,11 +829,45 @@ def _polynomial_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_polynomial_case())
 def test_polynomial_evaluation_matches_the_reference_bit_for_bit(case):
+    """Complex evaluation keeps the reference's bits.  Float arguments with
+    real coefficients take the float path (tested below against this one),
+    so such a case is evaluated here on complex arguments."""
     nl, args = case
+    if nl.real and not any(map(np.iscomplexobj, args)):
+        args = tuple(np.asarray(arg, dtype=complex) for arg in args)
     with np.errstate(all="ignore"):
         got, want = nl.evaluate(args), _reference_evaluate(nl, args)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _real_polynomial_case(draw):
+    """A polynomial F of arity 0-2 and powers up to 4 with real coefficients,
+    and finite float arguments."""
+    arity = draw(st.integers(0, 2))
+    powers = st.tuples(*[st.integers(0, 4)] * (arity + 1))
+    terms = draw(st.lists(st.tuples(powers, _COEFFS), min_size=1, max_size=4))
+    shape = draw(st.sampled_from([(1,), (5,), (8, 1), (3, 2)]))
+    size = math.prod(shape)
+    args = tuple(np.array(draw(st.lists(_COEFFS, min_size=size, max_size=size))).reshape(shape)
+                 for _ in range(arity + 1))
+    return Nonlinearity(kind="pointwise-polynomial", arity=arity, terms=terms), args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_real_polynomial_case())
+def test_float_polynomial_evaluation_matches_the_complex_real_part(case):
+    """Float arguments and real coefficients give float64, within 1e-15 of
+    the complex evaluation's real part relative to the size of the terms."""
+    nl, args = case
+    got = nl.evaluate(args)
+    want = nl.evaluate(tuple(arg.astype(complex) for arg in args))
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert not np.any(want.imag)
+    size = sum(abs(c) * math.prod(np.abs(arg) ** e for arg, e in zip(args, powers))
+               for powers, c in nl.terms)
+    assert np.all(np.abs(got - want.real) <= 1e-15 * size)
 
 
 def test_arity_one_feeds_the_spatial_derivative():

@@ -1,14 +1,15 @@
-"""The x-transform pair ``x_fft``/``x_ifft`` against the ``np.fft`` oracle.
+"""The x-transform pairs ``x_fft``/``x_ifft`` and ``x_rfft``/``x_irfft``
+against the ``np.fft`` oracle.
 
-Each is ``np.fft.fft/ifft(axis=-2)`` at every size, so the test requires
-the same bytes as the oracle, and a round trip back to the input within
-2 n eps of its largest value.
+Each is one ``np.fft`` call along axis -2 at every size, so the test
+requires the same bytes as the oracle, and a round trip back to the input
+within 2 n eps of its largest value.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from coesolve.grids import x_fft, x_ifft
+from coesolve.grids import x_fft, x_ifft, x_irfft, x_rfft
 
 EPS = np.finfo(float).eps
 
@@ -33,4 +34,22 @@ def test_x_transforms_match_the_fft_oracle(values, inverse):
     assert got.shape == oracle.shape and got.dtype == oracle.dtype
     assert got.tobytes() == oracle.tobytes()
     back = x_ifft(x_fft(values))
+    assert np.max(np.abs(back - values)) <= 2 * n * EPS * np.max(np.abs(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks())
+def test_real_x_transforms_match_the_fft_oracle(values):
+    """``x_rfft`` is the first n/2 + 1 rows of ``x_fft`` on real samples and
+    ``x_irfft`` brings them back to the n real samples."""
+    values = values.real.copy()
+    n = values.shape[-2]
+    got = x_rfft(values)
+    oracle = np.fft.rfft(values, axis=-2)
+    assert got.tobytes() == oracle.tobytes()
+    full = x_fft(values)
+    assert np.max(np.abs(got - full[..., : n // 2 + 1, :])) <= 2 * n * EPS * np.max(np.abs(full))
+    back = x_irfft(got, n)
+    assert back.dtype == np.float64 and back.shape == values.shape
+    assert back.tobytes() == np.fft.irfft(oracle, n=n, axis=-2).tobytes()
     assert np.max(np.abs(back - values)) <= 2 * n * EPS * np.max(np.abs(values))

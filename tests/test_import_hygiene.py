@@ -85,13 +85,14 @@ def test_the_layering_scan_sees_each_import_form(tmp_path):
     assert not imports_output(probe)
 
 
-FFT_NAMES = ("fft", "ifft")
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft")
 
 
 def uses_fft(path):
-    """Whether the module at ``path`` names an FFT module's ``fft`` or ``ifft``:
-    ``np.fft.fft``, ``numpy.fft.ifft``, ``scipy.fft.fft``, ``fft.fft`` after
-    ``from numpy import fft``, or ``from numpy.fft import fft``."""
+    """Whether the module at ``path`` names an FFT module's ``fft``, ``ifft``,
+    ``rfft`` or ``irfft``: ``np.fft.fft``, ``numpy.fft.ifft``,
+    ``scipy.fft.fft``, ``fft.fft`` after ``from numpy import fft``, or
+    ``from numpy.fft import fft``."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fft":
             if any(alias.name in FFT_NAMES for alias in node.names):
@@ -104,10 +105,11 @@ def uses_fft(path):
 
 
 def test_only_grids_transforms_in_x():
-    """Every x-transform goes through ``grids.x_fft``/``x_ifft``, which fix
-    the x axis (-2) of ``np.fft`` in one place.  ``operators`` keeps
-    ``np.fft`` for the periodic Sturm-Liouville eigenbasis: a transform along
-    the operator's y axis (the last axis), not the x axis."""
+    """Every x-transform goes through ``grids.x_fft``/``x_ifft`` or
+    ``x_rfft``/``x_irfft``, which fix the x axis (-2) of ``np.fft`` in one
+    place.  ``operators`` keeps ``np.fft`` for the periodic Sturm-Liouville
+    eigenbasis: a transform along the operator's y axis (the last axis), not
+    the x axis."""
     package = sorted((ROOT / "src" / "coesolve").glob("*.py"))
     assert {path.stem for path in package if uses_fft(path)} == {"grids", "operators"}
 
@@ -115,7 +117,8 @@ def test_only_grids_transforms_in_x():
 def test_the_fft_scan_sees_each_form(tmp_path):
     forms = ["np.fft.fft(v, axis=0)\n", "numpy.fft.ifft(v)\n", "scipy.fft.fft(v)\n",
              "from numpy import fft\nfft.ifft(v)\n", "from numpy.fft import fft\n",
-             "from scipy.fft import ifft as inverse\n", "pick = np.fft.ifft\n"]
+             "from scipy.fft import ifft as inverse\n", "pick = np.fft.ifft\n",
+             "np.fft.rfft(v, axis=0)\n", "from numpy.fft import irfft\n"]
     for i, form in enumerate(forms):
         probe = tmp_path / f"probe{i}.py"
         probe.write_text(form)
