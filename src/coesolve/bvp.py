@@ -8,9 +8,9 @@ tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer. Math.
 6, 1964): the boundary values are eliminated, the m x m interior t-operator
 is diagonalized once, and every (frequency, t-mode) pair becomes one
 shifted resolvent solve of A, for every operator kind through
-``OperatorRealization.resolvent_solve_many``.  Semilinear right-hand sides
-are handled by Picard iteration, whose iterates share one t-eigenbasis per
-strip length.
+``OperatorRealization.resolvent_solve_many``.  One strip solve is prepared
+per strip length, so each Picard iterate of a semilinear right-hand side
+pays only for its forcing.
 """
 
 from __future__ import annotations
@@ -187,35 +187,33 @@ def solve_bvp_linear(
     den_j (A + eta_j + kappa_k / den_j) w = h, all in one
     ``resolvent_solve_many`` call.
     """
-    return _solve_in_modes(problem, bc, tgrid, _checked_t_modes(problem, bc, tgrid), forcing)
+    return _solve_in_modes(problem, tgrid, _checked_t_modes(problem, bc, tgrid), forcing)
 
 
 def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid):
-    """Check the problem and the boundary rows, then return ``_t_modes``."""
+    """Check the problem and the boundary rows, then prepare all of the strip
+    solve of ``tgrid`` but the forcing: t-modes, den, shifts, boundary data."""
     problem.require_checked()
     if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
         raise DegenerateBoundaryError("boundary rows have vanishing determinant")
     problem.validate_field(bc.f1)
     problem.validate_field(bc.f2)
-    return _t_modes(bc, tgrid)
-
-
-def _solve_in_modes(
-    problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid, modes, forcing
-) -> StripField:
-    """``solve_bvp_linear`` with the t-modes of ``tgrid`` already taken."""
-    n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
-    kappa, w, w_inv, k_ib, k_bb_inv, k_bu = modes
-    garr = _normalize_forcing(problem, tgrid, forcing)
+    kappa, w, w_inv, k_ib, k_bb_inv, k_bu = _t_modes(bc, tgrid)
     den = problem.denominator_on_grid()
-    eta = problem.eta_on_grid()
-    fb = x_fft(np.stack([bc.f1.values, bc.f2.values])).reshape(2, n * d)
-    rhs = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
-    if garr is not None:
-        rhs += x_fft(garr[1:-1]).reshape(m, n * d)
+    z = problem.eta_on_grid()[None, :] + kappa[:, None] / den[None, :]
+    fb = x_fft(np.stack([bc.f1.values, bc.f2.values])).reshape(2, -1)
+    lift = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
+    return w, w_inv, den, z.reshape(-1), fb, lift, k_bb_inv, k_bu
+
+
+def _solve_in_modes(problem: DiscretizedProblem, tgrid: TGrid, modes, forcing) -> StripField:
+    """``solve_bvp_linear`` on the strip solve of ``_checked_t_modes``."""
+    n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
+    w, w_inv, den, z, fb, lift, k_bb_inv, k_bu = modes
+    garr = _normalize_forcing(problem, tgrid, forcing)
+    rhs = lift if garr is None else lift + x_fft(garr[1:-1]).reshape(m, n * d)
     hw = (w_inv @ rhs).reshape(m, n, d) / den[None, :, None]
-    z = eta[None, :] + kappa[:, None] / den[None, :]
-    vw = problem.operator.resolvent_solve_many(z.reshape(-1), hw.reshape(m * n, d))
+    vw = problem.operator.resolvent_solve_many(z, hw.reshape(m * n, d))
     interior = w @ vw.reshape(m, n * d)
     ends = k_bb_inv @ (fb - k_bu @ interior)
     uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, n, d)
@@ -303,14 +301,14 @@ def solve_bvp_semilinear(
     halvings = 0
     current = tgrid
     while True:
-        modes = _checked_t_modes(problem, bc, current)  # once per strip length
-        u = _solve_in_modes(problem, bc, current, modes, None)
+        modes = _checked_t_modes(problem, bc, current)  # prepared once per strip length
+        u = _solve_in_modes(problem, current, modes, None)
         gaps: List[float] = []
         converged, message = False, "picard iteration did not converge"
         for _ in range(max_iter):
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging F overflows
                 rhs = _evaluate_rhs(nonlinearity, u)
-                u_next = _solve_in_modes(problem, bc, current, modes, rhs)
+                u_next = _solve_in_modes(problem, current, modes, rhs)
                 gap = float(np.max(np.abs(u_next.values - u.values)))
             if not np.isfinite(gap):
                 message = "picard iteration lost finiteness"

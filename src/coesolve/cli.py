@@ -22,14 +22,10 @@ import numpy as np
 from .config import SCENARIOS, validate_config
 from .errors import (
     AdmissibilityError,
-    BlowUpError,
     ConditionNotCheckedError,
     ConfigError,
     DegenerateSampleError,
-    DegenerateSymbolError,
     InvalidArgumentError,
-    SingularResolventError,
-    SymbolBlowupError,
 )
 from .output import to_json_text
 from .presets import get_preset, preset_names
@@ -118,14 +114,11 @@ def main(argv=None) -> int:
         print(f"admissibility check failed: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
     except (
-        BlowUpError,
+        ArithmeticError,  # also BlowUpError, DegenerateSymbolError, SingularResolventError
         ConditionNotCheckedError,
         DegenerateSampleError,
-        DegenerateSymbolError,
         InvalidArgumentError,
         MemoryError,
-        SingularResolventError,
-        SymbolBlowupError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

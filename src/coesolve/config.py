@@ -8,8 +8,9 @@ and broken cross-key rules raise ``ConfigError`` naming the innermost dotted
 path of the offender, and so do the range limits the library would reject
 later (``m >= 1``, ``trials >= 100``, ``xi_points_per_side >= 2``,
 ``max_mode`` below half the grid, ``max_iter >= 1``, positive tolerances,
-norm exponents, multiplier family indices, and lambdas inside the sector
-every solve and estimate is gated on).  Complex scalars are plain numbers or [re, im] pairs;
+norm exponents, multiplier family indices, a strip F of arity <= 1 with
+nondegenerate boundary rows, and lambdas inside the sector every solve and
+estimate is gated on).  Complex scalars are plain numbers or [re, im] pairs;
 a null value counts as absent.  Randomized constructs (band-limited fields,
 R-bound trials, which run only for p != 2) draw from a generator seeded by
 the run seed only.
@@ -18,9 +19,11 @@ the run seed only.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
+from .bvp import DEGENERACY_FLOOR, check_nondegenerate
 from .errors import ConfigError, InvalidArgumentError
 from .evolution import DEFAULT_BLOWUP_THRESHOLD, DEFAULT_STEP_TOL, Nonlinearity, step_count
 from .grids import Field, Grid, band_limited_random
@@ -343,6 +346,16 @@ def _no_semilinear_forcing(s, path):
     return s
 
 
+def _strip_rules(s, path):
+    """The strip rules a config alone decides: the arity of F, the boundary determinant."""
+    if s["nonlinearity"] is not None and s["nonlinearity"].arity > 1:
+        raise ConfigError("strip nonlinearities take (u,) or (u, u_t)",
+                          f"{path}.nonlinearity.arity")
+    if abs(check_nondegenerate(SimpleNamespace(**s["bc"]))) < DEGENERACY_FLOOR:
+        raise ConfigError("boundary rows have vanishing determinant", f"{path}.bc")
+    return _no_semilinear_forcing(s, path)
+
+
 def _whole_steps(s, path):
     try:
         step_count(s["t_final"], s["dt"])
@@ -406,7 +419,7 @@ SECTIONS = {
         "forcing": (_FORCING, None), "nonlinearity": (_NONLINEARITY, None),
         "max_iter": (_int_from(1), 30), "tol": (_pos, 1e-8),
         "max_t_halvings": (_int_from(0), 0),
-    }), _no_semilinear_forcing),
+    }), _strip_rules),
     "norms-report": _obj({"field": (_FIELD, REQUIRED), "norms": (_list_of(_NORM), REQUIRED)}),
 }
 SCENARIOS = tuple(SECTIONS)

@@ -15,17 +15,16 @@ for F followed by the exact linear flow, with F evaluated twice per accepted
 step (at u, shared by the full step, the first half step and the F(u)
 integral, and at the midpoint of the two half steps) and two forward and two
 inverse transforms: the new state and the step-doubling difference go back
-to samples in one stacked inverse call.  A tiny state (N = n dim values with
-N^2 <= ``MATRIX_STEP_MAX_WORK``, as in the 8-point ``blowup-ode``) flows by one
-N x N matrix on samples, built once from the spectral flow, and a semilinear
-run keeps it as samples: a step is one batched matmul through the dt and dt/2
-flows and one matvec, with no transform or copy.  Both paths share the loop
-that halts, stores and reports.
+to samples in one stacked inverse call.  Linear runs always step spectrally.
+A semilinear run on a tiny state (N = n dim values with N^2 <=
+``MATRIX_STEP_MAX_WORK``, as in the 8-point ``blowup-ode``) keeps it as
+complex samples: its stepper builds the N x N dt and dt/2 flows once from the
+spectral flow, and a step is one batched matmul and one matvec.  Both
+steppers share the loop that halts, stores and reports.
 A real problem (real A, symbols Hermitian on the grid) with real u0, no
 forcing and F zero or an arity-0 real polynomial keeps float64 samples and
 steps on the n/2 + 1 non-negative x-frequencies (``x_rfft``/``x_irfft``),
-the Nyquist row by the real parts of its symbols; other runs and tiny states
-stay complex.
+the Nyquist row by the real parts of its symbols; other runs stay complex.
 Semilinear runs halt early when the sup norm crosses the blow-up
 threshold, the state loses finiteness or the step-doubling error estimate
 exceeds its tolerance; the report keeps the last valid time and names the
@@ -49,8 +48,8 @@ from .solver import DiscretizedProblem
 
 DEFAULT_BLOWUP_THRESHOLD = 1e8
 DEFAULT_STEP_TOL = 1e-3
-# Largest N^2 for the one-matrix flow of N = n * dim values; per step, us,
-# spectral vs one matrix: N = 8 6.1 vs 2.1, 64 10.2 vs 4.7.
+# Largest N^2 for the sample-space semilinear step of N = n * dim values; per
+# step, us, spectral vs one matrix: N = 8 6.1 vs 2.1, 64 10.2 vs 4.7.
 MATRIX_STEP_MAX_WORK = 4096
 
 
@@ -129,75 +128,53 @@ class Nonlinearity:
 
 
 class _Propagator:
-    """Per-frequency exact linear flow over one fixed step dt.  A state of N
-    values with N^2 <= ``MATRIX_STEP_MAX_WORK`` steps by ``mats``, N x N
-    sample-space matrices (flow, forcing): the identity pushed once through
-    the spectral methods, whose x-transforms are ``np.fft``.  ``real`` asks
-    for the flow of real samples on the rows of ``x_rfft``; ``self.real`` says
-    whether the problem allows it (a larger state, a real A, Hermitian symbols)."""
+    """Per-frequency exact linear flow over one fixed step dt, on spectral
+    coefficients.  ``real`` asks for the flow of real samples on the rows of
+    ``x_rfft``; ``self.real`` says whether the problem allows it (a real A,
+    Hermitian symbols).  The sample-space flow of a tiny state is built from
+    these methods by ``_sample_flow``."""
 
     def __init__(self, problem: DiscretizedProblem, dt: float, real: bool = False):
         self.problem = problem
         self.dt = float(dt)
-        size = problem.grid.n * problem.operator.dim
-        tiny = size * size <= MATRIX_STEP_MAX_WORK
         den = problem.denominator_on_grid()
         eta = problem.eta_on_grid()
-        self.real = (real and not tiny and problem.operator.real
-                     and _hermitian(den) and _hermitian(eta))
+        self.real = real and problem.operator.real and _hermitian(den) and _hermitian(eta)
         if self.real:
             den, eta = _half_spectrum(den), _half_spectrum(eta)
-        diag = problem.operator.diagonalization()
-        self.diag = diag
-        if diag is not None:
-            fwd, inv, eigs = diag
+        self.diag = problem.operator.diagonalization()
+        if self.diag is not None:
+            fwd, inv, eigs = self.diag
             m = den[:, None] * (eigs[None, :] + eta[:, None])
             z = self.dt * m
             self.e_fac = np.exp(-z)
             small = np.abs(z) < 1e-6
-            series = self.dt * (1.0 - z / 2.0 + z * z / 6.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                series = self.dt * (1.0 - z / 2.0 + z * z / 6.0)
                 exact = np.where(small, 1.0, (1.0 - self.e_fac) / np.where(small, 1.0, m))
             self.p_fac = np.where(small, series, exact)
             self.fwd, self.inv = fwd, inv
         else:
-            # Fallback for a defective or ill-conditioned dense A.
+            # Fallback for a defective or ill-conditioned dense A: one batched
+            # expm of the blocks [[-dt M_j, dt I], [0, 0]] over the frequencies.
             import scipy.linalg  # only this fallback uses it; kept out of start-up
 
             a = problem.operator.as_dense()
-            d, rows = a.shape[0], len(den)
-            self.e_mats = np.empty((rows, d, d), dtype=complex)
-            self.p_mats = np.empty((rows, d, d), dtype=complex)
-            eye = np.eye(d)
-            zero = np.zeros((d, d))
-            for j in range(rows):
-                m = den[j] * (a + eta[j] * eye)
-                block = np.block([[-self.dt * m, self.dt * eye], [zero, zero]])
-                exp_block = scipy.linalg.expm(block)
-                self.e_mats[j] = exp_block[:d, :d]
-                self.p_mats[j] = exp_block[:d, d:]
-        self.mats = None
-        if tiny:
-            basis = self.to_spectral(np.eye(size, dtype=complex).reshape(
-                (size, problem.grid.n, problem.operator.dim)))
-            # row k of each matrix is the image of sample k
-            self.mats = tuple(self.from_spectral(self.advance(*pair)).reshape(size, size)
-                              for pair in ((basis,), (np.zeros_like(basis), basis)))
+            d, eye = a.shape[0], np.eye(a.shape[0])
+            blocks = np.zeros((len(den), 2 * d, 2 * d), dtype=complex)
+            blocks[:, :d, :d] = -self.dt * (den[:, None, None] * (a + eta[:, None, None] * eye))
+            blocks[:, :d, d:] = self.dt * eye
+            exp_blocks = scipy.linalg.expm(blocks)
+            self.e_mats = np.ascontiguousarray(exp_blocks[:, :d, :d])
+            self.p_mats = np.ascontiguousarray(exp_blocks[:, :d, d:])
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """(n, dim) samples -> coefficients in x-Fourier modes and A's eigenbasis
-        (the samples themselves when the flow is one matrix)."""
-        if self.mats is not None:
-            return values
+        """(n, dim) samples -> coefficients in x-Fourier modes and A's eigenbasis."""
         vh = x_rfft(values) if self.real else x_fft(values)
         return vh if self.diag is None else self.fwd(vh)
 
     def advance(self, w: np.ndarray, fw: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance coefficients by dt; forcing coefficients ``fw`` held constant."""
-        if self.mats is not None:
-            e_mat, p_mat = self.mats
-            out = w.reshape(-1) @ e_mat
-            return (out if fw is None else out + fw.reshape(-1) @ p_mat).reshape(w.shape)
         if self.diag is None:
             out = np.einsum("jab,...jb->...ja", self.e_mats, w)
             return out if fw is None else out + np.einsum("jab,...jb->...ja", self.p_mats, fw)
@@ -205,13 +182,17 @@ class _Propagator:
 
     def from_spectral(self, w: np.ndarray) -> np.ndarray:
         """Inverse of ``to_spectral``; leading axes before (n, dim) stack
-        coefficient arrays that share the one call.  Off the one-matrix flow
-        this is a new array, never a view of ``w``, which the semilinear loop
-        reuses."""
-        if self.mats is not None:
-            return w
+        coefficient arrays that share the one call.  The result is a new
+        array, never a view of ``w``, which the semilinear loop reuses."""
         w = w if self.diag is None else self.inv(w)
         return x_irfft(w, self.problem.grid.n) if self.real else x_ifft(w)
+
+
+def _sample_flow(prop: _Propagator) -> np.ndarray:
+    """The N x N flow of ``prop`` on samples, row k the image of sample k."""
+    eye = np.eye(prop.problem.grid.n * prop.problem.operator.dim, dtype=complex)
+    basis = eye.reshape(len(eye), prop.problem.grid.n, prop.problem.operator.dim)
+    return prop.from_spectral(prop.advance(prop.to_spectral(basis))).reshape(eye.shape)
 
 
 def _hermitian(sym: np.ndarray) -> bool:
@@ -367,11 +348,12 @@ def _spectral_steps(prop: _Propagator, half, nonlinear, values, dt: float):
 
 
 def _sample_steps(prop: _Propagator, half: _Propagator, nonlinear, values, dt: float):
-    """``_spectral_steps`` for a tiny state kept as samples, with the same
-    bits: the dt and dt/2 flows from u are one batched matmul (a gemv per
-    row, as in ``_Propagator.advance``), the second half step one matvec."""
+    """``_spectral_steps`` for a tiny state kept as samples: the dt and dt/2
+    flows from u are one batched matmul (a gemv per row), the second half
+    step one matvec."""
     size = values.size
-    flows, half_flow = np.stack([prop.mats[0], half.mats[0]]), half.mats[0]
+    half_flow = _sample_flow(half)
+    flows = np.stack([_sample_flow(prop), half_flow])
     # complex, as dt itself becomes against F(u), so the products keep their bits
     scale = np.array([dt, dt / 2.0], dtype=complex).reshape(2, 1, 1)
     # rows 0, u_new, u_mid then u_double: rows[1:] - rows[:2] is the pair
@@ -417,8 +399,9 @@ def solve_cauchy_semilinear(
     problem.require_checked()
     problem.validate_field(u0)
     n_steps = step_count(t_final, dt)
+    tiny = not nonlinearity.is_zero and u0.values.size ** 2 <= MATRIX_STEP_MAX_WORK
     real = nonlinearity.real and nonlinearity.arity == 0 and not np.any(u0.values.imag)
-    prop = _Propagator(problem, dt, real=real)
+    prop = _Propagator(problem, dt, real=real and not tiny)
     half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0, prop.real)
 
     values = u0.values.real.copy() if prop.real else u0.values.copy()
@@ -431,7 +414,6 @@ def solve_cauchy_semilinear(
         nonlinear = lambda u: nonlinearity.evaluate((u,))
     else:
         nonlinear = lambda u: nonlinearity.of_field(Field(problem.grid, u))
-    tiny = half is not None and prop.mats is not None
     steps = (_sample_steps if tiny else _spectral_steps)(prop, half, nonlinear, values, dt)
     for step, (f_now, samples) in zip(range(n_steps), steps):
         # both sup norms in one abs and one reduce; max is exact, so the bits

@@ -188,6 +188,14 @@ BAD_EDITS = [
     ("blowup-ode", ("solve-parabolic", "step_tol"), -1, "solve-parabolic.step_tol"),
     # a half-width that passes its own check but whose spacing 2 X / n overflows
     ("problem-3.7", ("problem", "grid", "half_width"), 1e308, "problem.grid"),
+    # strip rules the config alone decides: the arity of F and the boundary determinant
+    ("problem-4.6", ("solve-elliptic", "nonlinearity"),
+     {"kind": "polynomial", "arity": 2, "terms": [{"powers": [3, 0, 0], "coeff": -1.0}]},
+     "solve-elliptic.nonlinearity.arity"),
+    ("problem-4.6", ("solve-elliptic", "bc"),
+     {**get_preset("problem-4.6")["solve-elliptic"]["bc"],
+      "alpha1": 1.0, "beta1": 0.0, "alpha2": 1.0, "beta2": 0.0},
+     "solve-elliptic.bc"),
 ]
 
 
@@ -489,13 +497,13 @@ def test_cli_exit_codes_for_failing_runs(tmp_path, capsys):
     cfg4.write_text(json.dumps(solve))
     assert main(["solve-linear", "--config", str(cfg4)]) == 4
 
-    # degenerate boundary rows surface as a numerical failure: exit 3
+    # degenerate boundary rows are decided by the config alone: exit 2
     elliptic = get_preset("problem-4.6")
     elliptic["solve-elliptic"]["bc"]["alpha2"] = 1.0
     elliptic["solve-elliptic"]["bc"]["beta2"] = 0.0
     cfg3 = tmp_path / "degenerate.json"
     cfg3.write_text(json.dumps(elliptic))
-    assert main(["solve-elliptic", "--config", str(cfg3)]) == 3
+    assert main(["solve-elliptic", "--config", str(cfg3)]) == 2
 
 
 # Sizes the schema admits whose first array needs 8 PiB: numpy refuses it at
@@ -516,6 +524,37 @@ def test_an_oversized_run_is_a_numerical_failure(preset, keys, value, tmp_path, 
     assert main([config["scenario"], "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: Unable to allocate") and "Traceback" not in err
+
+
+# Edits whose arithmetic overflows or divides by zero in plain Python floats.
+ARITHMETIC = [
+    ("norms-gaussian", ("norms-report", "norms"),
+     get_preset("norms-gaussian")["norms-report"]["norms"] + [{"kind": "besov", "s": 400}]),
+    ("problem-4.6", ("solve-elliptic", "t_final"), 1e300),
+    ("example-4.3-sweep", ("lambda-sweep", "lambdas"), [1e200]),
+]
+
+
+@pytest.mark.parametrize("preset, keys, value", ARITHMETIC)
+def test_an_arithmetic_failure_is_a_numerical_failure(preset, keys, value, tmp_path, capsys):
+    config = get_preset(preset)
+    _set(config, keys, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([config["scenario"], "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
+def test_a_huge_symbol_coefficient_warns_of_nothing(tmp_path, capsys):
+    # the propagator's small-z series overflows on such entries, where it is not read
+    config = get_preset("example-4.3")
+    config["problem"]["symbols"]["b"] = [0.0, 0.0, -1e160]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve-parabolic", "--config", str(cfg)]) == 0
 
 
 def test_cli_rbound_with_even_exponential_kernel(tmp_path, capsys):

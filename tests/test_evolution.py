@@ -365,6 +365,18 @@ def test_semilinear_step_evaluates_the_nonlinearity_twice():
     assert len(calls) == 2 * 25
 
 
+def _record_steppers(patch):
+    """Patch both semilinear steppers so that each run appends the name of
+    the one it takes to the returned list."""
+    used = []
+    for name in ("_spectral_steps", "_sample_steps"):
+        def recorded(*args, _name=name, _stepper=getattr(evolution, name)):
+            used.append(_name)
+            return _stepper(*args)
+        patch.setattr(evolution, name, recorded)
+    return used
+
+
 def _count_polynomial_evaluations(monkeypatch, n):
     """Per-call argument counts of ``Nonlinearity.evaluate`` over 25 steps of
     a damped polynomial run on ``convolution_problem(n)`` (N = 2 n values)."""
@@ -377,13 +389,14 @@ def _count_polynomial_evaluations(monkeypatch, n):
 
     monkeypatch.setattr(Nonlinearity, "evaluate", counted)
     prob = convolution_problem(n=n)
-    assert (_Propagator(prob, 0.01).mats is not None) == (2 * n <= 64)
+    used = _record_steppers(monkeypatch)
     u0 = Field.from_function(prob.grid, lambda x: 0.1 * np.exp(-(x**2)), weights=(1.0, 1.0))
     cubic = Nonlinearity(
         kind="pointwise-polynomial", arity=0, terms=(((3,), -1.0), ((1,), 0.5), ((0,), 0.01))
     )
     _, report = solve_cauchy_semilinear(prob, u0, cubic, t_final=0.25, dt=0.01)
     assert report.completed
+    assert used == ["_sample_steps" if 2 * n <= 64 else "_spectral_steps"]
     return calls
 
 
@@ -425,14 +438,35 @@ def _reference_sup(values):
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
+class _MatrixFlow:
+    """The one-matrix propagator of a tiny state as first written: samples
+    are their own coefficients, and a step is one vector-matrix product with
+    the flow of ``evolution._sample_flow``."""
+
+    def __init__(self, prop):
+        self.flow = evolution._sample_flow(prop)
+
+    def to_spectral(self, values):
+        return values
+
+    def from_spectral(self, w):
+        return w
+
+    def advance(self, w):
+        return (w.reshape(-1) @ self.flow).reshape(w.shape)
+
+
 def _reference_semilinear(problem, u0, nl, t_final, dt, blowup_threshold, step_tol, store_every):
     """The semilinear step loop as first written: a ``Field`` around every
     F argument, five transforms per step (the step-doubling difference
     inverted on its own), a second sup norm per step and one ``lp_norm``
-    call for the F(u) integral.  Returns (times, snapshots, report)."""
+    call for the F(u) integral.  A tiny state steps on samples through the
+    one-matrix flows.  Returns (times, snapshots, report)."""
     n_steps = step_count(t_final, dt)
     prop = _Propagator(problem, dt)
     half = _Propagator(problem, dt / 2.0)
+    if not nl.is_zero and u0.values.size ** 2 <= evolution.MATRIX_STEP_MAX_WORK:
+        prop, half = _MatrixFlow(prop), _MatrixFlow(half)
     values = u0.values.copy()
     w = prop.to_spectral(values)
     times, snaps = [0.0], [values.copy()]
@@ -591,7 +625,7 @@ def test_f_integral_blocks_match_the_reference_loop_bit_for_bit(kind, halt):
 
 
 # Operators whose state on a 16-point grid has N = 16 dim <= 64 values, so
-# that N^2 <= MATRIX_STEP_MAX_WORK and the propagator is one sample-space matrix.
+# that N^2 <= MATRIX_STEP_MAX_WORK and a semilinear run steps on samples.
 _TINY = {
     "dense": lambda: DenseMatrixOperator(_NON_NORMAL),  # N = 48
     "jordan": lambda: DenseMatrixOperator([[1.0, 1.0], [0.0, 1.0]]),  # N = 32, expm
@@ -612,53 +646,56 @@ def _tiny_problem(op, n=16):
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(sorted(_TINY)),
-    run=st.sampled_from(["linear", "semilinear", "threshold"]),
+    run=st.sampled_from(["semilinear", "threshold"]),
     store_every=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed):
-    """The one-matrix flow of a tiny state gives the snapshots and report of
-    the per-frequency flow (forced with ``MATRIX_STEP_MAX_WORK = 0``), to rounding.
-    A threshold-halted run reports its last accepted state, not the one it
-    rejected."""
+    """The sample-space steps of a tiny state give the snapshots and report
+    of the spectral steps (forced with ``MATRIX_STEP_MAX_WORK = 0``), to
+    rounding.  A threshold-halted run reports its last accepted state, not
+    the one it rejected."""
     op = _TINY[kind]()
     assert (op.diagonalization() is None) == (kind == "jordan")
     prob = _tiny_problem(op)
     rng = np.random.default_rng(seed)
     shape = (prob.grid.n, op.dim)
-    u0, f0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
-    g, c2, amplitude, threshold, _ = _HALTS["threshold" if run == "threshold" else None]
+    u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g, c2, amplitude, threshold, _ = _HALTS[run if run == "threshold" else None]
     nl = _growth_nonlinearity("polynomial", g, c2, 0.1)
 
-    def solve():
-        assert (_Propagator(prob, 0.01).mats is None) == (evolution.MATRIX_STEP_MAX_WORK == 0)
-        if run == "linear":
-            state = solve_cauchy_linear(prob, Field(prob.grid, u0), forcing=lambda t: t * f0,
-                                        t_final=0.2, dt=0.01, store_every=store_every)
-            return state, None
-        return solve_cauchy_semilinear(prob, Field(prob.grid, amplitude * u0), nl, t_final=0.4,
-                                       dt=0.01, blowup_threshold=threshold, step_tol=math.inf,
-                                       store_every=store_every)
+    def solve(patch, stepper):
+        used = _record_steppers(patch)
+        result = solve_cauchy_semilinear(prob, Field(prob.grid, amplitude * u0), nl, t_final=0.4,
+                                         dt=0.01, blowup_threshold=threshold, step_tol=math.inf,
+                                         store_every=store_every)
+        assert used == [stepper]
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evolution, "MATRIX_STEP_MAX_WORK", 0)
-        ref_state, ref = solve()
-    state, report = solve()
+        ref_state, ref = solve(patch, "_spectral_steps")
+    with pytest.MonkeyPatch.context() as patch:
+        state, report = solve(patch, "_sample_steps")
     assert state.times == ref_state.times
     for got, want in zip(state.snapshots, ref_state.snapshots, strict=True):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-    if run != "linear":
-        assert report.halt_reason == ref.halt_reason == ("threshold" if run == "threshold" else None)
-        assert report.t_max == ref.t_max
-        assert report.final_norms["u_sup"] <= threshold
-        assert report.final_norms["u_sup"] == pytest.approx(ref.final_norms["u_sup"], rel=1e-12)
+    assert report.halt_reason == ref.halt_reason == ("threshold" if run == "threshold" else None)
+    assert report.t_max == ref.t_max
+    assert report.final_norms["u_sup"] <= threshold
+    assert report.final_norms["u_sup"] == pytest.approx(ref.final_norms["u_sup"], rel=1e-12)
 
 
 @pytest.mark.parametrize("dim, composed", [(32, True), (33, False)])
-def test_only_states_of_at_most_64_values_compose(dim, composed):
-    # N = 2 dim values: 64^2 = MATRIX_STEP_MAX_WORK composes, 66^2 does not
+def test_only_states_of_at_most_64_values_compose(dim, composed, monkeypatch):
+    # N = 2 dim values: 64^2 = MATRIX_STEP_MAX_WORK steps on samples, 66^2 does
+    # not; with F = 0 the run is linear and steps spectrally at any size
     prob = _tiny_problem(PeriodicSturmLiouvilleOperator(b=1.0, n=dim), n=2)
-    assert (_Propagator(prob, 0.01).mats is not None) == composed
+    u0 = Field(prob.grid, np.full((2, dim), 0.1 + 0.1j))
+    used = _record_steppers(monkeypatch)
+    for nl in (_cubic(), Nonlinearity(kind="none")):
+        solve_cauchy_semilinear(prob, u0, nl, t_final=0.02, dt=0.01)
+    assert used == ["_sample_steps" if composed else "_spectral_steps", "_spectral_steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +786,29 @@ def test_real_path_matches_the_complex_path(
                                                             abs=1e-12 * scale)
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_fallback_flow_is_the_expm_of_each_frequency(real):
+    """The defective-A fallback takes one batched ``expm`` over the rows of
+    its spectrum; each row's flow and forcing matrices are that row's own
+    ``expm`` of [[-dt M_j, dt I], [0, 0]], on complex and on real-half rows."""
+    op, dt = _REAL_OPS["jordan"](), 0.05
+    prob = _real_problem(op)
+    prop = _Propagator(prob, dt, real=real)
+    den, eta = prob.denominator_on_grid(), prob.eta_on_grid()
+    if real:
+        den, eta = evolution._half_spectrum(den), evolution._half_spectrum(eta)
+    assert prop.diag is None and prop.real == real
+    a, d = op.as_dense(), op.dim
+    assert prop.e_mats.shape == prop.p_mats.shape == (len(den), d, d)
+    for j in range(len(den)):
+        block = np.zeros((2 * d, 2 * d), dtype=complex)
+        block[:d, :d] = -dt * (den[j] * (a + eta[j] * np.eye(d)))
+        block[:d, d:] = dt * np.eye(d)
+        want = scipy.linalg.expm(block)
+        for got, ref in ((prop.e_mats[j], want[:d, :d]), (prop.p_mats[j], want[:d, d:])):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _cubic(coeff=-1.0):
     return Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(((3,), coeff),))
 
@@ -775,7 +835,9 @@ def test_what_takes_the_complex_path(case):
         "arity 1": Nonlinearity(kind="pointwise-polynomial", arity=1, terms=(((1, 1), -1.0),)),
         "complex F coefficient": _cubic(-1.0 + 0.5j),
     }.get(case, _cubic())
-    propagator_real = case not in ("complex coefficient", "complex dense A", "tiny state")
+    # the size rule is the semilinear run's, not the propagator's: a tiny
+    # state's propagator allows the real flow, but its run steps on samples
+    propagator_real = case not in ("complex coefficient", "complex dense A")
     assert _Propagator(prob, 0.01, real=True).real == propagator_real
     if case == "forcing":
         state = solve_cauchy_linear(prob, Field(grid, u0), forcing=lambda t: 0.0 * u0,
