@@ -121,7 +121,8 @@ def main(argv=None) -> int:
         MemoryError,
         np.linalg.LinAlgError,
     ) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc} ({type(exc).__name__} in {args.command})",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
     print(to_json_text(result.summary))

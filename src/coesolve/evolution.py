@@ -15,7 +15,9 @@ for F followed by the exact linear flow, with F evaluated twice per accepted
 step (at u, shared by the full step, the first half step and the F(u)
 integral, and at the midpoint of the two half steps) and two forward and two
 inverse transforms: the new state and the step-doubling difference go back
-to samples in one stacked inverse call.  Linear runs always step spectrally.
+to samples in one stacked inverse call; an F of arity >= 1 gets its
+x-derivatives from one ``x_multiply``.  F = 0 takes the same step, with F
+evaluated as zeros.  ``solve_cauchy_linear`` always steps spectrally.
 A semilinear run on a tiny state (N = n dim values with N^2 <=
 ``MATRIX_STEP_MAX_WORK``, as in the 8-point ``blowup-ode``) keeps it as
 complex samples: its stepper builds the N x N dt and dt/2 flows once from the
@@ -34,7 +36,6 @@ reason.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
@@ -42,7 +43,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError
-from .grids import Field, spectral_derivative, x_fft, x_ifft, x_irfft, x_rfft
+from .grids import Field, derivative_symbols, x_fft, x_ifft, x_irfft, x_multiply, x_rfft
 from .norms import lp_norm
 from .solver import DiscretizedProblem
 
@@ -61,7 +62,7 @@ class Nonlinearity:
     as sum of coeff * prod_i args[i]**powers[i]; "pointwise-closed-form"
     calls ``fn(args)`` directly, and ``fn`` must not modify its arguments
     (the semilinear solver passes its state array itself); "none" is the
-    zero map.
+    zero map, the polynomial with no terms.
     """
 
     kind: str = "none"
@@ -76,6 +77,8 @@ class Nonlinearity:
             raise InvalidArgumentError(f"unknown nonlinearity kind {self.kind!r}")
         if self.arity < 0:
             raise InvalidArgumentError("arity must be >= 0")
+        if self.kind == "none" and self.terms:
+            raise InvalidArgumentError("the zero nonlinearity takes no terms")
         if self.kind == "pointwise-polynomial":
             terms = tuple(
                 (tuple(int(e) for e in powers), complex(c)) for powers, c in self.terms
@@ -91,17 +94,11 @@ class Nonlinearity:
         object.__setattr__(self, "real", self.kind != "pointwise-closed-form"
                            and all(c.imag == 0 for _, c in self.terms))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "none"
-
     def evaluate(self, args):
-        """args is a tuple of arity + 1 arrays of identical shape.  A polynomial
-        with real coefficients on float arrays gives float64, else complex."""
+        """args is a tuple of arity + 1 arrays of identical shape.  Zero or a real
+        polynomial on float arrays gives float64, else complex."""
         if len(args) != self.arity + 1:
             raise InvalidArgumentError(f"expected {self.arity + 1} arguments")
-        if self.kind == "none":
-            return np.zeros_like(np.asarray(args[0], dtype=complex))
         if self.kind == "pointwise-closed-form":
             return np.asarray(self.fn(*args), dtype=complex)
         # float powers are repeated products: ``**`` on floats calls libm
@@ -122,9 +119,9 @@ class Nonlinearity:
         return out
 
     def of_field(self, u: Field) -> np.ndarray:
-        """Evaluate on a field, feeding spectral x-derivatives as arguments."""
-        args = tuple(spectral_derivative(u, k).values for k in range(self.arity + 1))
-        return self.evaluate(args)
+        """Evaluate on a copy of u and its x-derivatives from one ``x_multiply``."""
+        derivs = x_multiply(u.values, derivative_symbols(u.grid.xi, range(1, self.arity + 1)))
+        return self.evaluate((u.values.copy(), *derivs))
 
 
 class _Propagator:
@@ -233,7 +230,7 @@ class MaximalSolutionReport:
     time-integrated L_p norm of F(u); both are non-decreasing along the run.
     ``halt_reason`` is "threshold", "step_tol" or "non_finite" for an early
     stop and None for a completed run; ``last_error_estimate`` is the relative
-    step-doubling estimate of the last step tried (None when F = 0).
+    step-doubling estimate of the last step tried (None when no step ran).
     """
 
     completed: bool
@@ -321,28 +318,21 @@ class _FIntegral:
         return self.total
 
 
-def _spectral_steps(prop: _Propagator, half, nonlinear, values, dt: float):
+def _spectral_steps(prop: _Propagator, half: _Propagator, nonlinear, values, dt: float):
     """Steps in spectral coefficients.  Yields F(u) and the samples of the
-    stacked (u_new, u_double - u_new), or None and u_new[None] when ``half``
-    is None (F = 0); resuming accepts u_new."""
+    stacked (u_new, u_double - u_new); resuming accepts u_new."""
     w = prop.to_spectral(values)
     pair = np.empty((2,) + w.shape, dtype=complex)  # brought back in one call
-    for step in itertools.count():
-        if half is None:
-            w_new = prop.advance(w)
-            if not np.all(np.isfinite(w_new)):
-                raise BlowUpError(f"linear evolution lost finiteness at t = {step * dt + dt:g}")
-            f_now, samples = None, prop.from_spectral(w_new[None])
-        else:
-            f_now = nonlinear(values)
-            fw = prop.to_spectral(f_now)
-            w_new = prop.advance(w + dt * fw)
-            w_mid = half.advance(w + (dt / 2.0) * fw)
-            f_mid = nonlinear(prop.from_spectral(w_mid))
-            w_double = half.advance(w_mid + (dt / 2.0) * prop.to_spectral(f_mid))
-            pair[0] = w_new
-            np.subtract(w_double, w_new, out=pair[1])
-            samples = prop.from_spectral(pair)
+    while True:
+        f_now = nonlinear(values)
+        fw = prop.to_spectral(f_now)
+        w_new = prop.advance(w + dt * fw)
+        w_mid = half.advance(w + (dt / 2.0) * fw)
+        f_mid = nonlinear(prop.from_spectral(w_mid))
+        w_double = half.advance(w_mid + (dt / 2.0) * prop.to_spectral(f_mid))
+        pair[0] = w_new
+        np.subtract(w_double, w_new, out=pair[1])
+        samples = prop.from_spectral(pair)
         yield f_now, samples
         values, w = samples[0], w_new
 
@@ -399,10 +389,10 @@ def solve_cauchy_semilinear(
     problem.require_checked()
     problem.validate_field(u0)
     n_steps = step_count(t_final, dt)
-    tiny = not nonlinearity.is_zero and u0.values.size ** 2 <= MATRIX_STEP_MAX_WORK
+    tiny = u0.values.size ** 2 <= MATRIX_STEP_MAX_WORK
     real = nonlinearity.real and nonlinearity.arity == 0 and not np.any(u0.values.imag)
     prop = _Propagator(problem, dt, real=real and not tiny)
-    half = None if nonlinearity.is_zero else _Propagator(problem, dt / 2.0, prop.real)
+    half = _Propagator(problem, dt / 2.0, prop.real)
 
     values = u0.values.real.copy() if prop.real else u0.values.copy()
     times, snaps = [0.0], [values.copy()]
@@ -420,17 +410,16 @@ def solve_cauchy_semilinear(
         # are _sup_norm's
         sups = np.maximum.reduce(np.abs(samples), axis=(1, 2)).tolist()
         sup_new = sups[0]
-        if f_now is not None:
-            err = sups[1] / max(1.0, sup_new)
-            if not (math.isfinite(sup_new) and math.isfinite(err)):
-                halt_reason = "non_finite"
-            elif sup_new > blowup_threshold:
-                halt_reason = "threshold"
-            elif err > step_tol:
-                halt_reason = "step_tol"
-            if halt_reason is not None:
-                break
-            f_int.add(f_now)
+        err = sups[1] / max(1.0, sup_new)
+        if not (math.isfinite(sup_new) and math.isfinite(err)):
+            halt_reason = "non_finite"
+        elif sup_new > blowup_threshold:
+            halt_reason = "threshold"
+        elif err > step_tol:
+            halt_reason = "step_tol"
+        if halt_reason is not None:
+            break
+        f_int.add(f_now)
         values = samples[0]
         t = (step + 1) * dt
         sup_max = max(sup_max, sup_new)

@@ -5,7 +5,8 @@ The whole-line problem is truncated to [-X, X) with n equispaced points
 (n, dim) complex samples; dim is the dimension of the operator stand-in.
 Every transform in x is ``x_fft``/``x_ifft``, or ``x_rfft``/``x_irfft`` on
 the n/2 + 1 non-negative frequencies of real samples, along axis -2 of
-(..., n, dim).
+(..., n, dim).  Every scalar multiplier in x (derivatives, convolutions,
+Littlewood-Paley cutoffs) is applied by ``x_multiply``.
 """
 
 from __future__ import annotations
@@ -93,21 +94,31 @@ def x_irfft(values: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(values, n=n, axis=-2)
 
 
-def spectral_derivative(field: Field, order: int) -> Field:
-    """Order-th x-derivative via the FFT symbol (i xi)^order.
+def derivative_symbols(xi: np.ndarray, orders) -> np.ndarray:
+    """(len(orders), n) stack of the symbols (i xi)^k of d^k/dx^k.  Odd orders
+    zero the unpaired Nyquist row, the usual convention that keeps real fields real."""
+    syms = np.array([(1j * xi) ** k for k in orders], dtype=complex).reshape(-1, len(xi))
+    syms[np.asarray(orders) % 2 == 1, len(xi) // 2] = 0.0
+    return syms
 
-    Odd orders zero the unpaired Nyquist mode, the usual convention that
-    keeps real fields real.
-    """
+
+def x_multiply(values: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Each row of the (k, n) per-frequency ``symbols`` applied to the (n, dim)
+    samples, shape (k, n, dim): one forward and one stacked inverse transform,
+    none for an empty stack."""
+    if not len(symbols):
+        return np.empty((0,) + values.shape, dtype=complex)
+    return x_ifft(symbols[:, :, None] * x_fft(values))
+
+
+def spectral_derivative(field: Field, order: int) -> Field:
+    """Order-th x-derivative via the symbol of ``derivative_symbols``."""
     if order < 0:
         raise InvalidArgumentError("derivative order must be >= 0")
     if order == 0:
         return Field(field.grid, field.values.copy())
-    xi = field.grid.xi.copy()
-    sym = (1j * xi) ** order
-    if order % 2 == 1:
-        sym[field.grid.n // 2] = 0.0
-    return Field(field.grid, x_ifft(sym[:, None] * x_fft(field.values)))
+    symbol = derivative_symbols(field.grid.xi, [order])
+    return Field(field.grid, x_multiply(field.values, symbol)[0])
 
 
 def band_limited_random(

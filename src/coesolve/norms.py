@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import Field, spectral_derivative, x_fft, x_ifft
+from .grids import Field, derivative_symbols, x_multiply
 
 
 def _component_norms(values) -> np.ndarray:
@@ -57,26 +57,24 @@ def sobolev_norm(field: Field, l: int, p: float, operator=None) -> float:
         total += lp_norm(au, p)
     else:
         total += lp_norm(field, p)
-    for k in range(l + 1):
-        total += lp_norm(spectral_derivative(field, k), p)
+    total += lp_norm(field, p)  # k = 0
+    for dk in x_multiply(field.values, derivative_symbols(field.grid.xi, range(1, l + 1))):
+        total += lp_norm(Field(field.grid, dk), p)
     return float(total)
 
 
 def _dyadic_pieces(field: Field):
-    """(low, [(j, piece)]) sharp Littlewood-Paley decomposition of the field."""
+    """(low, [(j, piece)]) sharp Littlewood-Paley decomposition of the field:
+    |xi| <= 1 and the nonempty annuli 2^(j-1) < |xi| <= 2^j as 0/1 symbols,
+    j up to the bit length of max|xi|, the last j with 2^(j-1) <= max|xi|."""
     xi = np.abs(field.grid.xi)
-    fh = x_fft(field.values)
-    low = Field(field.grid, x_ifft(np.where((xi <= 1.0)[:, None], fh, 0)))
-    pieces = []
-    j = 1
-    ximax = float(xi.max())
-    while 2.0 ** (j - 1) <= ximax:
-        mask = (xi > 2.0 ** (j - 1)) & (xi <= 2.0**j)
-        if np.any(mask):
-            piece = Field(field.grid, x_ifft(np.where(mask[:, None], fh, 0)))
-            pieces.append((j, piece))
-        j += 1
-    return low, pieces
+    annuli = [(j, (xi > 2.0 ** (j - 1)) & (xi <= 2.0**j))
+              for j in range(1, int(xi.max()).bit_length() + 1)]
+    bands = [(0, xi <= 1.0)] + [(j, mask) for j, mask in annuli if np.any(mask)]
+    symbols = np.array([mask for _, mask in bands], dtype=float)
+    pieces = [(j, Field(field.grid, v))
+              for (j, _), v in zip(bands, x_multiply(field.values, symbols))]
+    return pieces[0][1], pieces[1:]
 
 
 def besov_norm(field: Field, s: float, q: float, p: float) -> float:

@@ -40,12 +40,7 @@ import numpy as np
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # also "nan" (for -nan too), "inf", "-inf"
 
 
 # JSON escapes of the code points below U+0020; "\n" keeps its short form.

@@ -23,7 +23,7 @@ from .errors import (
     ConditionNotCheckedError,
     InvalidArgumentError,
 )
-from .grids import Field, Grid, spectral_derivative, x_fft, x_ifft
+from .grids import Field, Grid, derivative_symbols, x_fft, x_ifft, x_multiply
 from .norms import lp_norm, sobolev_norm
 from .operators import OperatorRealization
 from .symbols import (
@@ -122,7 +122,7 @@ def apply_operator(problem: DiscretizedProblem, u: Field, lam: complex = 0.0) ->
     n_vals = np.asarray(char_poly(problem.symbols, problem.grid.xi), dtype=complex)
     uh = x_fft(u.values)
     auh = x_fft(problem.operator.apply_many(u.values))
-    out = (n_vals + lam)[:, None] * uh + den[:, None] * auh
+    out = (n_vals + den * lam)[:, None] * uh + den[:, None] * auh
     return Field(problem.grid, x_ifft(out))
 
 
@@ -159,46 +159,33 @@ def coercive_report(
     problem: DiscretizedProblem, f: Field, lam: complex, u: Optional[Field] = None
 ) -> CoerciveReport:
     """Evaluate every term of the coercive estimate for (L + lambda) u = f."""
-    if lp_norm(f, problem.p) == 0.0:
+    p = problem.p
+    f_norm = lp_norm(f, p)
+    if f_norm == 0.0:
         raise InvalidArgumentError("coercive report needs nonzero forcing")
     if u is None:
         u = solve_linear(problem, f, lam)
-    p = problem.p
     sym = problem.symbols
     w = lambda_weights(sym.l, lam)
-    uh = x_fft(u.values)
     xi = problem.grid.xi
+    norm = lambda values: lp_norm(Field(problem.grid, values), p)
 
-    deriv_terms, conv_terms = [], []
-    for k in range(sym.l + 1):
-        dk = spectral_derivative(u, k)
-        deriv_terms.append(float(w[k]) * lp_norm(dk, p))
-        ker = sym.a_kernels.get(k)
-        if ker is None:
-            conv_terms.append(0.0)
-        else:
-            symb = np.asarray(ker.fourier(xi), dtype=complex) * (1j * xi) ** k
-            conv = Field(problem.grid, x_ifft(symb[:, None] * uh))
-            conv_terms.append(float(w[k]) * lp_norm(conv, p))
+    symbols = [derivative_symbols(xi, range(1, sym.l + 1))]
+    conv_ks = [k for k in range(sym.l + 1) if sym.a_kernels.get(k) is not None]
+    for k in conv_ks:
+        symbols.append(np.asarray(sym.a_kernels[k].fourier(xi), dtype=complex) * (1j * xi) ** k)
+    norms = [lp_norm(u, p)] + [norm(v) for v in x_multiply(u.values, np.vstack(symbols))]
+    conv_norms = dict(zip(conv_ks, norms[sym.l + 1:]))
+    deriv_terms = [float(w[k]) * norms[k] for k in range(sym.l + 1)]
+    conv_terms = [float(w[k]) * conv_norms[k] if k in conv_norms else 0.0 for k in range(sym.l + 1)]
 
-    au = Field(problem.grid, problem.operator.apply_many(u.values))
-    au_term = lp_norm(au, p)
+    au = problem.operator.apply_many(u.values)
+    mu_term = 0.0
     if sym.mu_kernel is not None:
-        mu_symb = np.asarray(sym.mu_kernel.fourier(xi), dtype=complex)
-        auh = x_fft(au.values)
-        mu_conv = Field(problem.grid, x_ifft(mu_symb[:, None] * auh))
-        mu_term = lp_norm(mu_conv, p)
-    else:
-        mu_term = 0.0
-
-    return CoerciveReport(
-        lam=lam,
-        derivative_terms=deriv_terms,
-        convolution_terms=conv_terms,
-        mu_conv_term=mu_term,
-        au_term=au_term,
-        f_norm=lp_norm(f, p),
-    )
+        mu_symbol = np.asarray(sym.mu_kernel.fourier(xi), dtype=complex)
+        mu_term = norm(x_multiply(au, mu_symbol[None])[0])
+    return CoerciveReport(lam=lam, derivative_terms=deriv_terms, convolution_terms=conv_terms,
+                          mu_conv_term=mu_term, au_term=norm(au), f_norm=f_norm)
 
 
 @dataclass

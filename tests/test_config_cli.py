@@ -533,6 +533,12 @@ ARITHMETIC = [
     ("problem-4.6", ("solve-elliptic", "t_final"), 1e300),
     ("example-4.3-sweep", ("lambda-sweep", "lambdas"), [1e200]),
 ]
+# The class each edit raises, which the message names with the scenario.
+ARITHMETIC_CLASS = {
+    "norms-gaussian": "OverflowError",
+    "problem-4.6": "OverflowError",
+    "example-4.3-sweep": "ZeroDivisionError",
+}
 
 
 @pytest.mark.parametrize("preset, keys, value", ARITHMETIC)
@@ -544,6 +550,7 @@ def test_an_arithmetic_failure_is_a_numerical_failure(preset, keys, value, tmp_p
     assert main([config["scenario"], "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert err.endswith(f" ({ARITHMETIC_CLASS[preset]} in {config['scenario']})\n")
 
 
 def test_a_huge_symbol_coefficient_warns_of_nothing(tmp_path, capsys):

@@ -262,6 +262,17 @@ def test_zero_nonlinearity_reduces_to_linear_flow():
     assert report.completed
     assert report.t_max == pytest.approx(0.5)
     assert np.max(np.abs(state.final.values - linear.final.values)) < 1e-15
+    # F = 0 takes the general step, step-doubling monitor included
+    assert 0.0 <= report.last_error_estimate < 1e-12
+
+
+def test_zero_nonlinearity_keeps_the_dtype_of_its_samples():
+    nl = Nonlinearity(kind="none")
+    for dtype in (np.float64, np.complex128):
+        out = nl.evaluate((np.ones((4, 2), dtype=dtype),))
+        assert out.dtype == dtype and not np.any(out)
+    with pytest.raises(InvalidArgumentError, match="no terms"):
+        Nonlinearity(kind="none", terms=(((1,), 1.0),))
 
 
 def test_splitting_error_shrinks_at_first_order():
@@ -465,7 +476,7 @@ def _reference_semilinear(problem, u0, nl, t_final, dt, blowup_threshold, step_t
     n_steps = step_count(t_final, dt)
     prop = _Propagator(problem, dt)
     half = _Propagator(problem, dt / 2.0)
-    if not nl.is_zero and u0.values.size ** 2 <= evolution.MATRIX_STEP_MAX_WORK:
+    if u0.values.size ** 2 <= evolution.MATRIX_STEP_MAX_WORK:
         prop, half = _MatrixFlow(prop), _MatrixFlow(half)
     values = u0.values.copy()
     w = prop.to_spectral(values)
@@ -689,13 +700,13 @@ def test_tiny_propagator_matches_the_spectral_path(kind, run, store_every, seed)
 @pytest.mark.parametrize("dim, composed", [(32, True), (33, False)])
 def test_only_states_of_at_most_64_values_compose(dim, composed, monkeypatch):
     # N = 2 dim values: 64^2 = MATRIX_STEP_MAX_WORK steps on samples, 66^2 does
-    # not; with F = 0 the run is linear and steps spectrally at any size
+    # not; F = 0 takes the same stepper as any other F
     prob = _tiny_problem(PeriodicSturmLiouvilleOperator(b=1.0, n=dim), n=2)
     u0 = Field(prob.grid, np.full((2, dim), 0.1 + 0.1j))
     used = _record_steppers(monkeypatch)
     for nl in (_cubic(), Nonlinearity(kind="none")):
         solve_cauchy_semilinear(prob, u0, nl, t_final=0.02, dt=0.01)
-    assert used == ["_sample_steps" if composed else "_spectral_steps", "_spectral_steps"]
+    assert used == ["_sample_steps" if composed else "_spectral_steps"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +791,8 @@ def test_real_path_matches_the_complex_path(
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
     if report is not None:
+        # F = 0 runs the step-doubling monitor like any F
+        assert isinstance(report.last_error_estimate, float)
         assert (report.halt_reason, report.t_max) == (ref.halt_reason, ref.t_max)
         for key in ("u_lp", "u_sup"):
             assert report.final_norms[key] == pytest.approx(ref.final_norms[key], rel=1e-12,

@@ -123,3 +123,10 @@ def test_every_control_character_is_escaped():
     text = "".join(chr(c) for c in range(0x20)) + '"quoted" \\ back\\slash'
     assert json.loads(to_json_text({text: [text]})) == {text: [text]}
     assert to_json_text("a\nb") == '"a\\nb"\n'
+
+
+@pytest.mark.parametrize("make", [float, np.float32, np.float64])
+def test_non_finite_floats_are_quoted_names(make):
+    # the sign of a negative nan is dropped
+    values = [make("nan"), make("inf"), make("-inf"), -make("nan"), make("1.5")]
+    assert to_json_text(values) == '["nan", "inf", "-inf", "nan", 1.5]\n'

@@ -42,14 +42,15 @@ def scalar_problem(c=1.0, half_width=16.0 * np.pi, n=512):
     return prob
 
 
-def convolution_problem(n=256):
+def convolution_problem(n=256, mu_kernel=None, nu=1.0):
     """Second-order problem with the odd exponential kernel and a 2x2
     diagonal operator."""
     sym = SymbolSet(
         l=2,
         b=(0.0, 0.0, -1.0),
         a_kernels={2: Kernel("exponential-paper", rate=1.0)},
-        nu=1.0,
+        mu_kernel=mu_kernel,
+        nu=nu,
     )
     op = DenseMatrixOperator(np.diag([1.0, 2.0]))
     grid = Grid(half_width=16.0, n=n)
@@ -133,26 +134,33 @@ def test_apply_operator_cosine_second_order():
     assert np.allclose(out.values[:, 0], 3.0 * np.cos(grid.x), atol=1e-10)
 
 
+def denominator_problems():
+    """``convolution_problem`` with the factor mu_hat + nu of its symbol equal
+    to 1, varying with xi, and a constant other than 1."""
+    mu = Kernel("exponential-standard", rate=1.0, amplitude=0.5)
+    return [convolution_problem(), convolution_problem(mu_kernel=mu), convolution_problem(nu=2.5)]
+
+
 def test_round_trip_apply_then_solve():
-    prob = convolution_problem()
-    rng = np.random.default_rng(21)
-    u = band_limited_random(prob.grid, rng, max_mode=20, dim=2, decay=1.0)
-    lam = 10.0
-    f = apply_operator(prob, u, lam)
-    back = solve_linear(prob, f, lam)
-    assert np.max(np.abs(back.values - u.values)) < 1e-10
+    for prob in denominator_problems():
+        rng = np.random.default_rng(21)
+        u = band_limited_random(prob.grid, rng, max_mode=20, dim=2, decay=1.0)
+        lam = 10.0
+        f = apply_operator(prob, u, lam)
+        back = solve_linear(prob, f, lam)
+        assert np.max(np.abs(back.values - u.values)) < 1e-10
 
 
 def test_residuals_small_on_random_band_limited_data():
-    prob = convolution_problem()
-    rng = np.random.default_rng(17)
-    for lam in (1.0, 10.0, 100.0, 1000.0 * np.exp(1j * np.pi / 4)):
-        f = band_limited_random(prob.grid, rng, max_mode=30, dim=2, decay=1.0)
-        u = solve_linear(prob, f, lam)
-        resid = apply_operator(prob, u, lam)
-        err = np.max(np.abs(resid.values - f.values))
-        scale = max(1.0, np.max(np.abs(f.values)))
-        assert err / scale < 1e-8
+    for prob in denominator_problems():
+        rng = np.random.default_rng(17)
+        for lam in (1.0, 10.0, 100.0, 1000.0 * np.exp(1j * np.pi / 4)):
+            f = band_limited_random(prob.grid, rng, max_mode=30, dim=2, decay=1.0)
+            u = solve_linear(prob, f, lam)
+            resid = apply_operator(prob, u, lam)
+            err = np.max(np.abs(resid.values - f.values))
+            scale = max(1.0, np.max(np.abs(f.values)))
+            assert err / scale < 1e-8
 
 
 def test_solver_is_linear():
