@@ -10,7 +10,10 @@ is diagonalized once, and every (frequency, t-mode) pair becomes one
 shifted resolvent solve of A, for every operator kind through
 ``OperatorRealization.resolvent_solve_many``.  One strip solve is prepared
 per strip length, so each Picard iterate of a semilinear right-hand side
-pays only for its forcing.
+pays only for its forcing.  With real Robin rows, boundary fields and
+forcing (or a real polynomial F of u or (u, u_t)) and a problem that passes
+``DiscretizedProblem.real_symbols``, the solve runs on the n/2 + 1 rows of
+``x_rfft`` and returns float64 samples; any complex input keeps all n rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateBoundaryError, InvalidArgumentError
 from .evolution import Nonlinearity
-from .grids import Field, Grid, x_fft, x_ifft
+from .grids import Field, Grid, x_fft, x_ifft, x_irfft, x_rfft
 from .operators import EIGENBASIS_COND_LIMIT
 from .solver import DiscretizedProblem
 
@@ -85,9 +88,10 @@ class StripField:
     tgrid: TGrid
     grid: Grid
     values: np.ndarray
+    real: bool = False  # float64 samples, solved on the x_rfft rows
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=float if self.real else complex)
         if v.ndim != 3 or v.shape[0] != self.tgrid.m + 2 or v.shape[1] != self.grid.n:
             raise InvalidArgumentError("values must have shape (m+2, n, dim)")
         self.values = v
@@ -187,38 +191,55 @@ def solve_bvp_linear(
     den_j (A + eta_j + kappa_k / den_j) w = h, all in one
     ``resolvent_solve_many`` call.
     """
-    return _solve_in_modes(problem, tgrid, _checked_t_modes(problem, bc, tgrid), forcing)
+    garr = _normalize_forcing(problem, tgrid, forcing)
+    modes = _checked_t_modes(problem, bc, tgrid, garr is None or not np.any(garr.imag))
+    return _solve_in_modes(problem, tgrid, modes, garr)
 
 
-def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid):
+def _real_strip(problem: DiscretizedProblem, bc: BoundaryConditions, real_rhs: bool):
+    """``problem.real_symbols()`` if the boundary rows and data and the
+    right-hand side (``real_rhs``) are real, else None."""
+    data = (bc.alpha1, bc.beta1, bc.alpha2, bc.beta2, bc.f1.values, bc.f2.values)
+    real = real_rhs and not any(np.any(np.imag(x)) for x in data)
+    return problem.real_symbols() if real else None
+
+
+def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid,
+                     real_rhs: bool):
     """Check the problem and the boundary rows, then prepare all of the strip
-    solve of ``tgrid`` but the forcing: t-modes, den, shifts, boundary data."""
+    solve of ``tgrid`` but the forcing: t-modes, den, shifts, boundary data,
+    on the rows of ``x_rfft`` if ``_real_strip`` allows it."""
     problem.require_checked()
     if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
         raise DegenerateBoundaryError("boundary rows have vanishing determinant")
     problem.validate_field(bc.f1)
     problem.validate_field(bc.f2)
     kappa, w, w_inv, k_ib, k_bb_inv, k_bu = _t_modes(bc, tgrid)
-    den = problem.denominator_on_grid()
-    z = problem.eta_on_grid()[None, :] + kappa[:, None] / den[None, :]
-    fb = x_fft(np.stack([bc.f1.values, bc.f2.values])).reshape(2, -1)
+    half = _real_strip(problem, bc, real_rhs)
+    den, eta = half or (problem.denominator_on_grid(), problem.eta_on_grid())
+    data = np.stack([bc.f1.values, bc.f2.values])
+    fb = (x_fft(data) if half is None else x_rfft(data.real)).reshape(2, -1)
+    z = eta[None, :] + kappa[:, None] / den[None, :]
     lift = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
-    return w, w_inv, den, z.reshape(-1), fb, lift, k_bb_inv, k_bu
+    return w, w_inv, den, z.reshape(-1), fb, lift, k_bb_inv, k_bu, half is not None
 
 
 def _solve_in_modes(problem: DiscretizedProblem, tgrid: TGrid, modes, forcing) -> StripField:
     """``solve_bvp_linear`` on the strip solve of ``_checked_t_modes``."""
     n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
-    w, w_inv, den, z, fb, lift, k_bb_inv, k_bu = modes
+    w, w_inv, den, z, fb, lift, k_bb_inv, k_bu, real = modes
+    rows = len(den)  # n, or n/2 + 1 on the rows of x_rfft
     garr = _normalize_forcing(problem, tgrid, forcing)
-    rhs = lift if garr is None else lift + x_fft(garr[1:-1]).reshape(m, n * d)
-    hw = (w_inv @ rhs).reshape(m, n, d) / den[None, :, None]
-    vw = problem.operator.resolvent_solve_many(z, hw.reshape(m * n, d))
-    interior = w @ vw.reshape(m, n * d)
+    rhs = lift
+    if garr is not None:
+        rhs = lift + (x_rfft(garr[1:-1].real) if real else x_fft(garr[1:-1])).reshape(m, rows * d)
+    hw = (w_inv @ rhs).reshape(m, rows, d) / den[None, :, None]
+    vw = problem.operator.resolvent_solve_many(z, hw.reshape(m * rows, d))
+    interior = w @ vw.reshape(m, rows * d)
     ends = k_bb_inv @ (fb - k_bu @ interior)
-    uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, n, d)
-    values = x_ifft(uh)
-    return StripField(tgrid=tgrid, grid=problem.grid, values=values)
+    uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, rows, d)
+    values = x_irfft(uh, n) if real else x_ifft(uh)
+    return StripField(tgrid=tgrid, grid=problem.grid, values=values, real=real)
 
 
 def bvp_discrete_residual(
@@ -231,23 +252,25 @@ def bvp_discrete_residual(
     """Max-abs residual of the discrete system at a candidate solution.
 
     M u comes from ``apply_many``, not the solver's eigenbasis, so an error
-    in that basis shows here.
+    in that basis shows here.  A real solution of real data is checked on
+    the rows of ``x_rfft``, the system its solve took.
     """
     garr = _normalize_forcing(problem, tgrid, forcing)
     dt = tgrid.dt
-    den = problem.denominator_on_grid()
-    eta = problem.eta_on_grid()
-    uh = x_fft(solution.values)
+    half = solution.real and _real_strip(problem, bc, garr is None or not np.any(garr.imag))
+    den, eta = half or (problem.denominator_on_grid(), problem.eta_on_grid())
+    fwd = (lambda v: x_rfft(v.real)) if half else x_fft
+    uh = fwd(solution.values)
     a_u = problem.operator.apply_many(uh.reshape(-1, uh.shape[2])).reshape(uh.shape)
     m_u = den[None, :, None] * (a_u + eta[None, :, None] * uh)
     interior = (
         -(uh[:-2] - 2.0 * uh[1:-1] + uh[2:]) / dt**2 + m_u[1:-1]
     )
     if garr is not None:
-        interior = interior - x_fft(garr)[1:-1]
+        interior = interior - fwd(garr)[1:-1]
     (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
-    row0 = c00 * uh[0] + c01 * uh[1] + c02 * uh[2] - x_fft(bc.f1.values)
-    row1 = c10 * uh[-1] + c11 * uh[-2] + c12 * uh[-3] - x_fft(bc.f2.values)
+    row0 = c00 * uh[0] + c01 * uh[1] + c02 * uh[2] - fwd(bc.f1.values)
+    row1 = c10 * uh[-1] + c11 * uh[-2] + c12 * uh[-3] - fwd(bc.f2.values)
     scale = max(1.0, float(np.max(np.abs(uh))))
     worst = max(
         float(np.max(np.abs(interior))) if interior.size else 0.0,
@@ -301,7 +324,7 @@ def solve_bvp_semilinear(
     halvings = 0
     current = tgrid
     while True:
-        modes = _checked_t_modes(problem, bc, current)  # prepared once per strip length
+        modes = _checked_t_modes(problem, bc, current, nonlinearity.real)  # once per length
         u = _solve_in_modes(problem, current, modes, None)
         gaps: List[float] = []
         converged, message = False, "picard iteration did not converge"

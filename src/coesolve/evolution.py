@@ -23,10 +23,11 @@ A semilinear run on a tiny state (N = n dim values with N^2 <=
 complex samples: its stepper builds the N x N dt and dt/2 flows once from the
 spectral flow, and a step is one batched matmul and one matvec.  Both
 steppers share the loop that halts, stores and reports.
-A real problem (real A, symbols Hermitian on the grid) with real u0, no
-forcing and F zero or an arity-0 real polynomial keeps float64 samples and
-steps on the n/2 + 1 non-negative x-frequencies (``x_rfft``/``x_irfft``),
-the Nyquist row by the real parts of its symbols; other runs stay complex.
+A real problem with real u0, no forcing and F zero or an arity-0 real
+polynomial keeps float64 samples and steps on the n/2 + 1 non-negative
+x-frequencies (``x_rfft``/``x_irfft``) with the symbols of the one realness
+rule, ``DiscretizedProblem.real_symbols``, which ``bvp`` asks too; other
+runs stay complex.
 Semilinear runs halt early when the sup norm crosses the blow-up
 threshold, the state loses finiteness or the step-doubling error estimate
 exceeds its tolerance; the report keeps the last valid time and names the
@@ -127,18 +128,16 @@ class Nonlinearity:
 class _Propagator:
     """Per-frequency exact linear flow over one fixed step dt, on spectral
     coefficients.  ``real`` asks for the flow of real samples on the rows of
-    ``x_rfft``; ``self.real`` says whether the problem allows it (a real A,
-    Hermitian symbols).  The sample-space flow of a tiny state is built from
-    these methods by ``_sample_flow``."""
+    ``x_rfft``; ``self.real`` says whether the problem allows it
+    (``DiscretizedProblem.real_symbols``).  The sample-space flow of a tiny
+    state is built from these methods by ``_sample_flow``."""
 
     def __init__(self, problem: DiscretizedProblem, dt: float, real: bool = False):
         self.problem = problem
         self.dt = float(dt)
-        den = problem.denominator_on_grid()
-        eta = problem.eta_on_grid()
-        self.real = real and problem.operator.real and _hermitian(den) and _hermitian(eta)
-        if self.real:
-            den, eta = _half_spectrum(den), _half_spectrum(eta)
+        half = problem.real_symbols() if real else None
+        self.real = half is not None
+        den, eta = half or (problem.denominator_on_grid(), problem.eta_on_grid())
         self.diag = problem.operator.diagonalization()
         if self.diag is not None:
             fwd, inv, eigs = self.diag
@@ -190,18 +189,6 @@ def _sample_flow(prop: _Propagator) -> np.ndarray:
     eye = np.eye(prop.problem.grid.n * prop.problem.operator.dim, dtype=complex)
     basis = eye.reshape(len(eye), prop.problem.grid.n, prop.problem.operator.dim)
     return prop.from_spectral(prop.advance(prop.to_spectral(basis))).reshape(eye.shape)
-
-
-def _hermitian(sym: np.ndarray) -> bool:
-    """Whether sym[j] == conj(sym[n - j]) for 0 < j < n/2, bit for bit, and sym[0] is real."""
-    half = len(sym) // 2
-    return sym[0].imag == 0 and np.array_equal(sym[1:half], sym[:half:-1].conj())
-
-
-def _half_spectrum(sym: np.ndarray) -> np.ndarray:
-    """The symbol on the rows of ``x_rfft``, the unpaired Nyquist row by its real part."""
-    half = len(sym) // 2
-    return np.append(sym[:half], sym[half].real)
 
 
 @dataclass

@@ -204,6 +204,7 @@ def _solve_elliptic(run, s):
         run.summary["residual"] = residual
         run.emit("iterations.json", {"converged": True, "iterations": 0, "residual": residual})
     run.summary["u_sup"] = float(np.max(np.abs(u.values)))
+    run.manifest["x_spectrum"] = "real-half" if u.real else "complex"
     run.emit("solution.csv", lambda: field_table(u.grid.x, u.values, u.tgrid.t))
 
 

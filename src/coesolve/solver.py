@@ -91,6 +91,18 @@ class DiscretizedProblem:
     def eta_on_grid(self):
         return reduced_symbol(self.symbols, self.grid.xi)
 
+    def real_symbols(self):
+        """(den, eta) on the n/2 + 1 rows of ``x_rfft``, the unpaired Nyquist row
+        by its real part, if A is real and both are Hermitian on the grid bit
+        for bit, else None: the one rule of every real path."""
+        if not self.operator.real:
+            return None
+        den, eta = self.denominator_on_grid(), self.eta_on_grid()
+        if not (_hermitian(den) and _hermitian(eta)):
+            return None
+        half = self.grid.n // 2
+        return np.append(den[:half], den[half].real), np.append(eta[:half], eta[half].real)
+
     def validate_field(self, f: Field):
         if f.grid != self.grid:
             raise InvalidArgumentError("field lives on a different grid")
@@ -98,6 +110,12 @@ class DiscretizedProblem:
             raise InvalidArgumentError(
                 f"field dim {f.dim} != operator dim {self.operator.dim}"
             )
+
+
+def _hermitian(sym: np.ndarray) -> bool:
+    """Whether sym[j] == conj(sym[n - j]) for 0 < j < n/2, bit for bit, and sym[0] is real."""
+    half = len(sym) // 2
+    return sym[0].imag == 0 and np.array_equal(sym[1:half], sym[:half:-1].conj())
 
 
 def solve_linear(problem: DiscretizedProblem, f: Field, lam: complex = 0.0) -> Field:
@@ -173,7 +191,8 @@ def coercive_report(
     symbols = [derivative_symbols(xi, range(1, sym.l + 1))]
     conv_ks = [k for k in range(sym.l + 1) if sym.a_kernels.get(k) is not None]
     for k in conv_ks:
-        symbols.append(np.asarray(sym.a_kernels[k].fourier(xi), dtype=complex) * (1j * xi) ** k)
+        a_hat = np.asarray(sym.a_kernels[k].fourier(xi), dtype=complex)
+        symbols.append(a_hat * derivative_symbols(xi, [k]))  # odd k: no Nyquist row either
     norms = [lp_norm(u, p)] + [norm(v) for v in x_multiply(u.values, np.vstack(symbols))]
     conv_norms = dict(zip(conv_ks, norms[sym.l + 1:]))
     deriv_terms = [float(w[k]) * norms[k] for k in range(sym.l + 1)]

@@ -2,6 +2,7 @@
 discretization order, residuals, the dense-assembly oracle of the
 t-eigenbasis solve, Picard iteration with strip shortening."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from coesolve import (
     StripField,
     SymbolSet,
     TGrid,
+    band_limited_random,
     bvp_discrete_residual,
     check_nondegenerate,
     solve_bvp_linear,
@@ -551,3 +553,141 @@ def test_picard_validation():
     with pytest.raises(InvalidArgumentError):
         solve_bvp_semilinear(prob, bc, TGrid(1.0, 8), two_args)
 
+
+
+# ---------------------------------------------------------------------------
+# real strip solves on the half spectrum
+# ---------------------------------------------------------------------------
+
+# Real A of the three kinds; the dense one is not normal.
+REAL_OPERATORS = {
+    "dense": lambda: DenseMatrixOperator([[1.0, 0.5], [-0.25, 2.0]]),
+    "psl": lambda: PeriodicSturmLiouvilleOperator(b=1.0, n=4),
+    "laplacian-2d": lambda: DirichletLaplacian2D(2, 3, c=0.5),
+}
+
+
+def real_problem(op, kernel="exponential-paper", amplitude=0.5):
+    sym = SymbolSet(l=2, b=(0.5, 0.0, -1.0), nu=1.0,
+                    a_kernels={2: Kernel(kernel, rate=1.0, amplitude=amplitude)})
+    prob = DiscretizedProblem(sym, op, Grid(4.0, 16), p=2.0)
+    prob.check_condition()
+    return prob
+
+
+def real_strip_data(prob, tg, seed, max_mode):
+    """Real band-limited boundary data and a real forcing with every mode."""
+    rng = np.random.default_rng(seed)
+    dim = prob.operator.dim
+    draw = lambda: Field(prob.grid, 0.3 * band_limited_random(prob.grid, rng, max_mode, dim).values)
+    return draw(), draw(), 0.3 * rng.standard_normal((tg.m + 2, prob.grid.n, dim))
+
+
+@contextlib.contextmanager
+def complex_path(prob):
+    """``prob`` fails the one realness rule inside; its symbols get the real
+    Nyquist value that the real path solves with (a no-op for the even
+    kernels), so that both paths solve one system."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prob, "real_symbols", lambda: None)
+        for name in ("denominator_on_grid", "eta_on_grid"):
+            def nyquist_real(on_grid=getattr(prob, name)):
+                sym = on_grid().copy()
+                sym[len(sym) // 2] = sym[len(sym) // 2].real
+                return sym
+
+            patch.setattr(prob, name, nyquist_real)
+        yield
+
+
+def strip_run(prob, bc, tg, form, coeffs, forcing):
+    """The linear solve (with or without ``forcing``) or a Picard run."""
+    c1, c2 = coeffs
+    if form == "linear":
+        return solve_bvp_linear(prob, bc, tg), None
+    if form == "forcing":
+        return solve_bvp_linear(prob, bc, tg, forcing=forcing), None
+    terms = {
+        "arity 0": (((1,), c1), ((3,), c2)),
+        "arity 1": (((0, 1), c1), ((1, 1), c2)),
+    }[form]
+    nl = Nonlinearity(kind="pointwise-polynomial", arity=len(terms[0][0]) - 1, terms=terms)
+    u, report = solve_bvp_semilinear(prob, bc, tg, nl, max_iter=60, tol=1e-13)
+    assert report.converged
+    return u, bvp._evaluate_rhs(nl, u)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(REAL_OPERATORS)),
+    kernel=st.sampled_from(["exponential-paper", "exponential-standard", "gaussian"]),
+    form=st.sampled_from(["linear", "forcing", "arity 0", "arity 1"]),
+    rows=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+    coeffs=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    m=st.integers(1, 24),
+    t_final=st.floats(0.25, 1.0),
+    max_mode=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_strip_matches_the_complex_path(
+    kind, kernel, form, rows, coeffs, m, t_final, max_mode, seed
+):
+    """Real rows, data, forcing or polynomial F under a real A solve on the
+    n/2 + 1 rows of x_rfft: float64 samples (every im exactly 0), the complex
+    path's answer to rounding, and a discrete residual, checked through
+    ``apply_many``, at rounding level."""
+    prob, tg = real_problem(REAL_OPERATORS[kind](), kernel), TGrid(t_final, m)
+    f1, f2, forcing = real_strip_data(prob, tg, seed, max_mode)
+    if form.startswith("arity"):  # dissipative rows, under which Picard converges
+        a1, b1, a2, b2 = map(abs, rows)
+        rows = (a1, -b1, a2, b2)
+    bc = BoundaryConditions(*rows, f1=f1, f2=f2)
+    assume(abs(check_nondegenerate(bc)) > 0.05)
+    assume(_amplification(bc, tg) < 100.0)
+    u, rhs = strip_run(prob, bc, tg, form, coeffs, forcing)
+    assert u.real and u.values.dtype == np.float64
+    residual_forcing = forcing if form == "forcing" else rhs
+    assert bvp_discrete_residual(prob, bc, tg, u, forcing=residual_forcing) <= 1e-9
+    with complex_path(prob):
+        ref, _ = strip_run(prob, bc, tg, form, coeffs, forcing)
+    assert not ref.real and ref.values.dtype == complex
+    assert np.max(np.abs(u.values - ref.values)) <= 1e-10 * np.max(np.abs(ref.values))
+
+
+@pytest.mark.parametrize("case", [
+    "none", "alpha", "boundary weight at 0", "boundary weight at T", "forcing weight",
+    "entry of A", "kernel amplitude", "closed-form F", "complex F coefficient",
+])
+def test_one_complex_input_takes_the_complex_path(case):
+    """A real problem with one complex input solves in complex arithmetic on
+    all n rows, with the bits of the complex path; with none it is real."""
+    op = REAL_OPERATORS["dense"]()
+    if case == "entry of A":
+        op = DenseMatrixOperator([[1.0, 0.5], [-0.25 + 0.1j, 2.0]])
+    prob = real_problem(op, amplitude=0.5 + 0.1j if case == "kernel amplitude" else 0.5)
+    tg = TGrid(0.5, 12)
+    f1, f2, forcing = real_strip_data(prob, tg, 4, 3)
+    weight = np.array([1.0, 1.0 + 0.1j])
+    if case == "boundary weight at 0":
+        f1 = Field(prob.grid, f1.values * weight)
+    if case == "boundary weight at T":
+        f2 = Field(prob.grid, f2.values * weight)
+    if case == "forcing weight":
+        forcing = forcing * np.array([1.0 + 0.1j, 1.0])
+    bc = BoundaryConditions(1.0 + 0.1j if case == "alpha" else 1.0, 0.0, 0.0, 1.0, f1=f1, f2=f2)
+    nl = {
+        "closed-form F": Nonlinearity(kind="pointwise-closed-form", fn=lambda u: -u**3),
+        "complex F coefficient": Nonlinearity(kind="pointwise-polynomial",
+                                              terms=(((3,), -1.0 + 0.1j),)),
+    }.get(case)
+    run = lambda: (solve_bvp_linear(prob, bc, tg, forcing=forcing) if nl is None
+                   else solve_bvp_semilinear(prob, bc, tg, nl)[0])
+    u = run()
+    if case == "none":
+        assert u.real
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prob, "real_symbols", lambda: None)
+        ref = run()
+    assert not u.real and u.values.dtype == complex
+    assert u.values.tobytes() == ref.values.tobytes()

@@ -234,7 +234,7 @@ def test_condition_run_passes_and_persists(tmp_path):
     assert manifest["outputs"] == ["condition_report.json"]
     assert manifest["seed"] == 0
     assert len(manifest["config_sha256"]) == 64
-    assert "x_spectrum" not in manifest  # a fact of parabolic runs only
+    assert "x_spectrum" not in manifest  # a fact of parabolic and elliptic runs only
 
 
 def test_failed_condition_run_exits_four(tmp_path):
@@ -361,6 +361,24 @@ def test_parabolic_manifest_records_the_x_spectrum(tmp_path, name, spectrum):
         header, *rows = _read(tmp_path / "trajectory.csv").decode().splitlines()
         im = [i for i, col in enumerate(header.split(",")) if col.startswith("im_u")]
         assert {row.split(",")[i] for row in rows for i in im} == {"0"}
+
+
+@pytest.mark.parametrize("change, spectrum", [
+    (None, "real-half"),  # real dense A, real boundary data, real cubic F
+    ({"alpha1": [1.0, 0.1]}, "complex"),
+    ({"f1": {"type": "gaussian", "weights": [1.0, [0.5, 0.1]]}}, "complex"),
+], ids=["problem-4.6", "complex-alpha1", "complex-f1-weight"])
+def test_elliptic_manifest_records_the_x_spectrum(tmp_path, change, spectrum):
+    """An elliptic run names its spectrum as a parabolic one does; a real-half
+    strip writes exact zeros in every im_u column of solution.csv."""
+    config = get_preset("problem-4.6")
+    config["solve-elliptic"]["bc"].update(change or {})
+    run_scenario(config, out_dir=tmp_path)
+    assert json.loads(_read(tmp_path / "manifest.json"))["x_spectrum"] == spectrum
+    header, *rows = _read(tmp_path / "solution.csv").decode().splitlines()
+    im = [i for i, col in enumerate(header.split(",")) if col.startswith("im_u")]
+    values = {row.split(",")[i] for row in rows for i in im}
+    assert (values == {"0"}) == (spectrum == "real-half")
 
 
 def test_semilinear_parabolic_rejects_forcing():

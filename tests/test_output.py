@@ -99,6 +99,46 @@ def test_table_shapes(tmp_path, shape):
     assert_same_bytes(tmp_path, table)
 
 
+def _zero_mix(rng, size, zeros):
+    """+-0.0 among subnormals, nan, +-inf, near-ties, |x| >= 1e280 and
+    ordinary values, a share ``zeros`` of them zeros."""
+    ties = 1e15 + rng.integers(0, 10**6, size) + rng.choice([0.25, 0.75], size)  # y = D + 1/2
+    others = np.concatenate([
+        np.array(rng.integers(1, 2**52, size, dtype=np.uint64)).view(np.float64),  # subnormal
+        [np.nan, np.inf, 2.0**-1074, 1e280, np.nextafter(1e280, 0)],
+        ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
+        10.0 ** rng.uniform(280, 308, size),
+        rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size),
+    ])
+    values = np.where(rng.random(size) < zeros, 0.0, rng.choice(others, size))
+    return np.where(rng.random(size) < 0.5, -values, values)
+
+
+MIXES = ["all zeros", "no zeros", "few zeros", "mixed", "zero columns"]
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_zero_rows_match_the_row_loop(tmp_path, mix):
+    """Every row keeps the bytes of "%.17g" in chunks of zeros alone, of no
+    zeros, of a few zeros (which stay in the digit pipeline), and of zeros
+    among every kind of value the writer treats apart (which skip it).
+    "zero columns" is a real run's table: every im_u column +-0.0."""
+    rng = np.random.default_rng(MIXES.index(mix))
+    shape = (3 * CHUNK // 13 + 5, 13)  # three full chunks and a partial one
+    size = shape[0] * shape[1]
+    table = {
+        "all zeros": lambda: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+        "no zeros": lambda: rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape),
+        "few zeros": lambda: _zero_mix(rng, size, 0.02).reshape(shape),
+        "mixed": lambda: _zero_mix(rng, size, 0.4).reshape(shape),
+        "zero columns": lambda: np.where(np.arange(13) % 2, 0.0, rng.standard_normal(shape)),
+    }[mix]()
+    share = np.count_nonzero(table == 0) / size
+    assert {"all zeros": share == 1.0, "no zeros": share == 0.0,
+            "few zeros": 0.0 < share < 1 / output._SPARSE}.get(mix, share >= 1 / output._SPARSE)
+    assert_same_bytes(tmp_path, table)
+
+
 def test_empty_table_writes_the_header(tmp_path):
     got, want = both(tmp_path, ["a", "b"], np.array([]))
     assert got == want == b"a,b\n"

@@ -273,6 +273,19 @@ def test_coercive_report_convolution_terms_present():
     assert report.ratio <= 10.0
 
 
+def test_odd_order_convolution_terms_zero_the_nyquist_row():
+    """The alternating field u_j = (-1)^j lives on the unpaired Nyquist row
+    alone, which odd orders zero: the term a_1 * d^1 u reads 0.0, as d^1 u
+    does, while the even orders see the field."""
+    sym = SymbolSet(l=2, b=(1.0, 0.0, -1.0), nu=1.0,
+                    a_kernels={1: Kernel("gaussian", amplitude=0.5), 2: Kernel("gaussian")})
+    prob = DiscretizedProblem(sym, DenseMatrixOperator(np.eye(1)), Grid(half_width=4.0, n=16))
+    u = Field(prob.grid, (-1.0) ** np.arange(16))
+    report = coercive_report(prob, u, 1.0, u=u)
+    assert report.derivative_terms[1] == report.convolution_terms[1] == 0.0
+    assert report.derivative_terms[2] > 0.0 and report.convolution_terms[2] > 0.0
+
+
 def test_coercive_report_rejects_zero_forcing():
     prob = scalar_problem(half_width=4.0, n=32)
     f = Field(prob.grid, np.zeros(32, dtype=complex))
