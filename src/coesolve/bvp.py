@@ -10,10 +10,9 @@ is diagonalized once, and every (frequency, t-mode) pair becomes one
 shifted resolvent solve of A, for every operator kind through
 ``OperatorRealization.resolvent_solve_many``.  One strip solve is prepared
 per strip length, so each Picard iterate of a semilinear right-hand side
-pays only for its forcing.  With real Robin rows, boundary fields and
-forcing (or a real polynomial F of u or (u, u_t)) and a problem that passes
-``DiscretizedProblem.real_symbols``, the solve runs on the n/2 + 1 rows of
-``x_rfft`` and returns float64 samples; any complex input keeps all n rows.
+pays only for its forcing.  Real Robin rows, boundary fields and forcing
+(or a real polynomial F of u or (u, u_t)) solve on the rows of
+``DiscretizedProblem.x_spectrum(True)``, float64 samples on its real rows.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import numpy as np
 
 from .errors import DegenerateBoundaryError, InvalidArgumentError
 from .evolution import Nonlinearity
-from .grids import Field, Grid, x_fft, x_ifft, x_irfft, x_rfft
+from .grids import Field, Grid
 from .operators import EIGENBASIS_COND_LIMIT
-from .solver import DiscretizedProblem
+from .solver import DiscretizedProblem, XSpectrum
 
 DEGENERACY_FLOOR = 1e-12
 # Largest ||row of K_bb^{-1} K_bu||_1 that ``_t_modes`` accepts.  Against a
@@ -88,7 +87,7 @@ class StripField:
     tgrid: TGrid
     grid: Grid
     values: np.ndarray
-    real: bool = False  # float64 samples, solved on the x_rfft rows
+    real: bool = False  # float64 samples, solved on the real x-spectrum
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float if self.real else complex)
@@ -115,13 +114,7 @@ def _normalize_forcing(problem, tgrid, forcing) -> Optional[np.ndarray]:
     shape = (tgrid.m + 2, problem.grid.n, problem.operator.dim)
     if forcing is None:
         return None
-    if callable(forcing):
-        rows = [np.asarray(forcing(float(t)), dtype=complex) for t in tgrid.t]
-        arr = np.stack([r[:, None] if r.ndim == 1 else r for r in rows])
-    else:
-        arr = np.asarray(forcing, dtype=complex)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
+    arr = np.asarray(forcing, dtype=complex)
     if arr.shape != shape:
         raise InvalidArgumentError(f"forcing must have shape {shape}")
     return arr
@@ -185,8 +178,8 @@ def solve_bvp_linear(
 ) -> StripField:
     """Solve -u_tt + L_x u = f on the strip with Robin boundary rows.
 
-    ``forcing`` is None, an (m+2, n, dim) array, or a callable t -> (n, dim)
-    samples.  After the FFT in x and the t-eigenbasis of ``_t_modes``, every
+    ``forcing`` is None or its (m+2, n, dim) samples at the t-nodes.  After
+    the FFT in x and the t-eigenbasis of ``_t_modes``, every
     (frequency j, t-mode k) pair is one resolvent solve
     den_j (A + eta_j + kappa_k / den_j) w = h, all in one
     ``resolvent_solve_many`` call.
@@ -196,50 +189,47 @@ def solve_bvp_linear(
     return _solve_in_modes(problem, tgrid, modes, garr)
 
 
-def _real_strip(problem: DiscretizedProblem, bc: BoundaryConditions, real_rhs: bool):
-    """``problem.real_symbols()`` if the boundary rows and data and the
-    right-hand side (``real_rhs``) are real, else None."""
+def _strip_spectrum(problem: DiscretizedProblem, bc: BoundaryConditions,
+                    real_rhs: bool) -> XSpectrum:
+    """``problem.x_spectrum``, asked for real rows if the boundary rows and
+    data and the right-hand side (``real_rhs``) are real."""
     data = (bc.alpha1, bc.beta1, bc.alpha2, bc.beta2, bc.f1.values, bc.f2.values)
-    real = real_rhs and not any(np.any(np.imag(x)) for x in data)
-    return problem.real_symbols() if real else None
+    return problem.x_spectrum(real_rhs and not any(np.any(np.imag(x)) for x in data))
 
 
 def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid,
                      real_rhs: bool):
     """Check the problem and the boundary rows, then prepare all of the strip
-    solve of ``tgrid`` but the forcing: t-modes, den, shifts, boundary data,
-    on the rows of ``x_rfft`` if ``_real_strip`` allows it."""
+    solve of ``tgrid`` but the forcing: t-modes, x-spectrum, shifts,
+    boundary data, on the rows of ``_strip_spectrum``."""
     problem.require_checked()
     if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
         raise DegenerateBoundaryError("boundary rows have vanishing determinant")
     problem.validate_field(bc.f1)
     problem.validate_field(bc.f2)
     kappa, w, w_inv, k_ib, k_bb_inv, k_bu = _t_modes(bc, tgrid)
-    half = _real_strip(problem, bc, real_rhs)
-    den, eta = half or (problem.denominator_on_grid(), problem.eta_on_grid())
-    data = np.stack([bc.f1.values, bc.f2.values])
-    fb = (x_fft(data) if half is None else x_rfft(data.real)).reshape(2, -1)
-    z = eta[None, :] + kappa[:, None] / den[None, :]
+    spec = _strip_spectrum(problem, bc, real_rhs)
+    fb = spec.forward(np.stack([bc.f1.values, bc.f2.values])).reshape(2, -1)
+    z = spec.eta[None, :] + kappa[:, None] / spec.den[None, :]
     lift = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
-    return w, w_inv, den, z.reshape(-1), fb, lift, k_bb_inv, k_bu, half is not None
+    return w, w_inv, spec, z.reshape(-1), fb, lift, k_bb_inv, k_bu
 
 
 def _solve_in_modes(problem: DiscretizedProblem, tgrid: TGrid, modes, forcing) -> StripField:
     """``solve_bvp_linear`` on the strip solve of ``_checked_t_modes``."""
-    n, d, m = problem.grid.n, problem.operator.dim, tgrid.m
-    w, w_inv, den, z, fb, lift, k_bb_inv, k_bu, real = modes
-    rows = len(den)  # n, or n/2 + 1 on the rows of x_rfft
+    d, m = problem.operator.dim, tgrid.m
+    w, w_inv, spec, z, fb, lift, k_bb_inv, k_bu = modes
+    rows = len(spec.den)  # n, or n/2 + 1 on the real rows
     garr = _normalize_forcing(problem, tgrid, forcing)
     rhs = lift
     if garr is not None:
-        rhs = lift + (x_rfft(garr[1:-1].real) if real else x_fft(garr[1:-1])).reshape(m, rows * d)
-    hw = (w_inv @ rhs).reshape(m, rows, d) / den[None, :, None]
+        rhs = lift + spec.forward(garr[1:-1]).reshape(m, rows * d)
+    hw = (w_inv @ rhs).reshape(m, rows, d) / spec.den[None, :, None]
     vw = problem.operator.resolvent_solve_many(z, hw.reshape(m * rows, d))
     interior = w @ vw.reshape(m, rows * d)
     ends = k_bb_inv @ (fb - k_bu @ interior)
     uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, rows, d)
-    values = x_irfft(uh, n) if real else x_ifft(uh)
-    return StripField(tgrid=tgrid, grid=problem.grid, values=values, real=real)
+    return StripField(tgrid=tgrid, grid=problem.grid, values=spec.inverse(uh), real=spec.real)
 
 
 def bvp_discrete_residual(
@@ -253,24 +243,23 @@ def bvp_discrete_residual(
 
     M u comes from ``apply_many``, not the solver's eigenbasis, so an error
     in that basis shows here.  A real solution of real data is checked on
-    the rows of ``x_rfft``, the system its solve took.
+    the real rows of ``x_spectrum``, the system its solve took.
     """
     garr = _normalize_forcing(problem, tgrid, forcing)
     dt = tgrid.dt
-    half = solution.real and _real_strip(problem, bc, garr is None or not np.any(garr.imag))
-    den, eta = half or (problem.denominator_on_grid(), problem.eta_on_grid())
-    fwd = (lambda v: x_rfft(v.real)) if half else x_fft
-    uh = fwd(solution.values)
+    spec = _strip_spectrum(problem, bc,
+                           solution.real and (garr is None or not np.any(garr.imag)))
+    uh = spec.forward(solution.values)
     a_u = problem.operator.apply_many(uh.reshape(-1, uh.shape[2])).reshape(uh.shape)
-    m_u = den[None, :, None] * (a_u + eta[None, :, None] * uh)
+    m_u = spec.den[None, :, None] * (a_u + spec.eta[None, :, None] * uh)
     interior = (
         -(uh[:-2] - 2.0 * uh[1:-1] + uh[2:]) / dt**2 + m_u[1:-1]
     )
     if garr is not None:
-        interior = interior - fwd(garr)[1:-1]
+        interior = interior - spec.forward(garr)[1:-1]
     (c00, c01, c02), (c10, c11, c12) = _boundary_rows(bc, dt)
-    row0 = c00 * uh[0] + c01 * uh[1] + c02 * uh[2] - fwd(bc.f1.values)
-    row1 = c10 * uh[-1] + c11 * uh[-2] + c12 * uh[-3] - fwd(bc.f2.values)
+    row0 = c00 * uh[0] + c01 * uh[1] + c02 * uh[2] - spec.forward(bc.f1.values)
+    row1 = c10 * uh[-1] + c11 * uh[-2] + c12 * uh[-3] - spec.forward(bc.f2.values)
     scale = max(1.0, float(np.max(np.abs(uh))))
     worst = max(
         float(np.max(np.abs(interior))) if interior.size else 0.0,

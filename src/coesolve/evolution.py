@@ -23,11 +23,8 @@ A semilinear run on a tiny state (N = n dim values with N^2 <=
 complex samples: its stepper builds the N x N dt and dt/2 flows once from the
 spectral flow, and a step is one batched matmul and one matvec.  Both
 steppers share the loop that halts, stores and reports.
-A real problem with real u0, no forcing and F zero or an arity-0 real
-polynomial keeps float64 samples and steps on the n/2 + 1 non-negative
-x-frequencies (``x_rfft``/``x_irfft``) with the symbols of the one realness
-rule, ``DiscretizedProblem.real_symbols``, which ``bvp`` asks too; other
-runs stay complex.
+Real u0, no forcing and F zero or an arity-0 real polynomial step float64
+samples on the real rows of ``DiscretizedProblem.x_spectrum`` when it has them.
 Semilinear runs halt early when the sup norm crosses the blow-up
 threshold, the state loses finiteness or the step-doubling error estimate
 exceeds its tolerance; the report keeps the last valid time and names the
@@ -44,7 +41,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError
-from .grids import Field, derivative_symbols, x_fft, x_ifft, x_irfft, x_multiply, x_rfft
+from .grids import Field, derivative_symbols, x_multiply
 from .norms import lp_norm
 from .solver import DiscretizedProblem
 
@@ -127,17 +124,15 @@ class Nonlinearity:
 
 class _Propagator:
     """Per-frequency exact linear flow over one fixed step dt, on spectral
-    coefficients.  ``real`` asks for the flow of real samples on the rows of
-    ``x_rfft``; ``self.real`` says whether the problem allows it
-    (``DiscretizedProblem.real_symbols``).  The sample-space flow of a tiny
-    state is built from these methods by ``_sample_flow``."""
+    coefficients on the rows of ``problem.x_spectrum(real)`` (``self.real``:
+    the real ones).  ``_sample_flow`` builds a tiny state's flow from it."""
 
     def __init__(self, problem: DiscretizedProblem, dt: float, real: bool = False):
         self.problem = problem
         self.dt = float(dt)
-        half = problem.real_symbols() if real else None
-        self.real = half is not None
-        den, eta = half or (problem.denominator_on_grid(), problem.eta_on_grid())
+        self.spectrum = problem.x_spectrum(real)
+        self.real = self.spectrum.real
+        den, eta = self.spectrum.den, self.spectrum.eta
         self.diag = problem.operator.diagonalization()
         if self.diag is not None:
             fwd, inv, eigs = self.diag
@@ -166,7 +161,7 @@ class _Propagator:
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """(n, dim) samples -> coefficients in x-Fourier modes and A's eigenbasis."""
-        vh = x_rfft(values) if self.real else x_fft(values)
+        vh = self.spectrum.forward(values)
         return vh if self.diag is None else self.fwd(vh)
 
     def advance(self, w: np.ndarray, fw: Optional[np.ndarray] = None) -> np.ndarray:
@@ -180,8 +175,7 @@ class _Propagator:
         """Inverse of ``to_spectral``; leading axes before (n, dim) stack
         coefficient arrays that share the one call.  The result is a new
         array, never a view of ``w``, which the semilinear loop reuses."""
-        w = w if self.diag is None else self.inv(w)
-        return x_irfft(w, self.problem.grid.n) if self.real else x_ifft(w)
+        return self.spectrum.inverse(w if self.diag is None else self.inv(w))
 
 
 def _sample_flow(prop: _Propagator) -> np.ndarray:
@@ -198,7 +192,7 @@ class CauchyState:
     problem: DiscretizedProblem
     times: List[float]
     snapshots: List[np.ndarray]
-    real: bool = False  # float64 samples, stepped on the x_rfft rows
+    real: bool = False  # float64 samples, stepped on the real x-spectrum
 
     @property
     def t(self) -> float:
@@ -232,7 +226,10 @@ def step_count(t_final: float, dt: float) -> int:
     """Number of dt steps from 0 to t_final, which must be a multiple of dt."""
     if not (dt > 0 and t_final > 0):
         raise InvalidArgumentError("dt and t_final must be positive")
-    n_steps = int(round(t_final / dt))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise InvalidArgumentError("t_final / dt overflows a float")
+    n_steps = int(round(ratio))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise InvalidArgumentError("t_final must be an integer multiple of dt")
     return n_steps

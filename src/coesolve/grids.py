@@ -4,9 +4,9 @@ The whole-line problem is truncated to [-X, X) with n equispaced points
 (n a power of two), so FFT frequencies are xi_j = pi j / X.  Fields carry
 (n, dim) complex samples; dim is the dimension of the operator stand-in.
 Every transform in x is ``x_fft``/``x_ifft``, or ``x_rfft``/``x_irfft`` on
-the n/2 + 1 non-negative frequencies of real samples, along axis -2 of
-(..., n, dim).  Every scalar multiplier in x (derivatives, convolutions,
-Littlewood-Paley cutoffs) is applied by ``x_multiply``.
+the n/2 + 1 rows of real samples (chosen by ``DiscretizedProblem.x_spectrum``),
+along axis -2 of (..., n, dim).  Every scalar multiplier in x (derivatives,
+convolutions, Littlewood-Paley cutoffs) is applied by ``x_multiply``.
 """
 
 from __future__ import annotations

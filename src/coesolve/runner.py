@@ -199,6 +199,8 @@ def _solve_elliptic(run, s):
         run.emit("iterations.json", asdict(report))
     else:
         forcing = run.forcing(s)
+        if forcing is not None:  # sampled once, for the solve and its residual
+            forcing = np.stack([forcing(float(t)) for t in tgrid.t])
         u = solve_bvp_linear(problem, bc, tgrid, forcing=forcing)
         residual = bvp_discrete_residual(problem, bc, tgrid, u, forcing=forcing)
         run.summary["residual"] = residual

@@ -23,7 +23,7 @@ from .errors import (
     ConditionNotCheckedError,
     InvalidArgumentError,
 )
-from .grids import Field, Grid, derivative_symbols, x_fft, x_ifft, x_multiply
+from .grids import Field, Grid, derivative_symbols, x_fft, x_ifft, x_irfft, x_multiply, x_rfft
 from .norms import lp_norm, sobolev_norm
 from .operators import OperatorRealization
 from .symbols import (
@@ -91,17 +91,15 @@ class DiscretizedProblem:
     def eta_on_grid(self):
         return reduced_symbol(self.symbols, self.grid.xi)
 
-    def real_symbols(self):
-        """(den, eta) on the n/2 + 1 rows of ``x_rfft``, the unpaired Nyquist row
-        by its real part, if A is real and both are Hermitian on the grid bit
-        for bit, else None: the one rule of every real path."""
-        if not self.operator.real:
-            return None
-        den, eta = self.denominator_on_grid(), self.eta_on_grid()
-        if not (_hermitian(den) and _hermitian(eta)):
-            return None
-        half = self.grid.n // 2
-        return np.append(den[:half], den[half].real), np.append(eta[:half], eta[half].real)
+    def x_spectrum(self, real: bool = False) -> XSpectrum:
+        """The rows of every per-frequency solve, the one realness rule: for ``real``
+        samples under a real A with den and eta Hermitian on the grid bit for bit, the
+        n/2 + 1 of ``x_rfft`` (the Nyquist row by its real part), else all n of ``x_fft``."""
+        n, den, eta = self.grid.n, self.denominator_on_grid(), self.eta_on_grid()
+        if not (real and self.operator.real and _hermitian(den) and _hermitian(eta)):
+            return XSpectrum(n, den, eta, False)
+        return XSpectrum(n, np.append(den[:n // 2], den[n // 2].real),
+                         np.append(eta[:n // 2], eta[n // 2].real), True)
 
     def validate_field(self, f: Field):
         if f.grid != self.grid:
@@ -118,18 +116,32 @@ def _hermitian(sym: np.ndarray) -> bool:
     return sym[0].imag == 0 and np.array_equal(sym[1:half], sym[:half:-1].conj())
 
 
+@dataclass(frozen=True)
+class XSpectrum:
+    """The rows of ``DiscretizedProblem.x_spectrum``: den, eta and the x-transforms to them."""
+
+    n: int
+    den: np.ndarray
+    eta: np.ndarray
+    real: bool  # the rows of x_rfft, for float64 samples
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return x_rfft(values.real) if self.real else x_fft(values)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return x_irfft(coeffs, self.n) if self.real else x_ifft(coeffs)
+
+
 def solve_linear(problem: DiscretizedProblem, f: Field, lam: complex = 0.0) -> Field:
     """Solve (L + lambda) u = f by per-frequency resolvent solves."""
     problem.require_checked()
     problem.validate_field(f)
     if not problem.lambda_sector.contains(lam):
         raise InvalidArgumentError("lambda outside the admissible sector")
-    den = problem.denominator_on_grid()
-    eta = problem.eta_on_grid()
-    fh = x_fft(f.values)
-    rhs = fh / den[:, None]
-    uh = problem.operator.resolvent_solve_many(eta + lam, rhs)
-    return Field(problem.grid, x_ifft(uh))
+    spec = problem.x_spectrum()
+    rhs = spec.forward(f.values) / spec.den[:, None]
+    uh = problem.operator.resolvent_solve_many(spec.eta + lam, rhs)
+    return Field(problem.grid, spec.inverse(uh))
 
 
 def apply_operator(problem: DiscretizedProblem, u: Field, lam: complex = 0.0) -> Field:

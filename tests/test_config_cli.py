@@ -196,6 +196,8 @@ BAD_EDITS = [
      {**get_preset("problem-4.6")["solve-elliptic"]["bc"],
       "alpha1": 1.0, "beta1": 0.0, "alpha2": 1.0, "beta2": 0.0},
      "solve-elliptic.bc"),
+    # a step count t_final / dt that overflows a float
+    ("example-4.4", ("solve-parabolic", "dt"), 1e-320, "solve-parabolic.t_final"),
 ]
 
 
@@ -379,6 +381,26 @@ def test_elliptic_manifest_records_the_x_spectrum(tmp_path, change, spectrum):
     im = [i for i, col in enumerate(header.split(",")) if col.startswith("im_u")]
     values = {row.split(",")[i] for row in rows for i in im}
     assert (values == {"0"}) == (spectrum == "real-half")
+
+
+def test_a_linear_elliptic_run_samples_its_forcing_once(monkeypatch):
+    """The runner samples the forcing once at each t-node and hands the same
+    samples to the solve and to its residual."""
+    calls = []
+    forcing = runner._Run.forcing
+
+    def counted(run, section):
+        fn = forcing(run, section)
+        return lambda t: calls.append(t) or fn(t)
+
+    monkeypatch.setattr(runner._Run, "forcing", counted)
+    config = get_preset("problem-4.6")
+    section = config["solve-elliptic"]
+    section["nonlinearity"] = None
+    section["forcing"] = {"space": section["bc"]["f1"], "time": {"kind": "sin-pi"}}
+    result = run_scenario(config)
+    assert calls == [float(t) for t in runner.TGrid(section["t_final"], section["m"]).t]
+    assert result.summary["residual"] <= 1e-9
 
 
 def test_semilinear_parabolic_rejects_forcing():

@@ -780,7 +780,8 @@ def test_real_path_matches_the_complex_path(
     assert _Propagator(prob, 0.01, real=True).real
     state, report = _real_run(prob, u0, nl, store_every)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(prob, "real_symbols", lambda: None)  # the one realness rule
+        # the one realness rule, asked for all n rows
+        patch.setattr(prob, "x_spectrum", lambda real=False, rule=prob.x_spectrum: rule(False))
         for name in ("denominator_on_grid", "eta_on_grid"):
             patch.setattr(prob, name, _nyquist_real(getattr(prob, name)))
         ref_state, ref = _real_run(prob, u0, nl, store_every)
@@ -807,8 +808,8 @@ def test_fallback_flow_is_the_expm_of_each_frequency(real):
     op, dt = _REAL_OPS["jordan"](), 0.05
     prob = _real_problem(op)
     prop = _Propagator(prob, dt, real=real)
-    den, eta = (prob.real_symbols() if real
-                else (prob.denominator_on_grid(), prob.eta_on_grid()))
+    spectrum = prob.x_spectrum(real)
+    den, eta = spectrum.den, spectrum.eta
     assert prop.diag is None and prop.real == real
     a, d = op.as_dense(), op.dim
     assert prop.e_mats.shape == prop.p_mats.shape == (len(den), d, d)

@@ -127,3 +127,39 @@ def test_the_fft_scan_sees_each_form(tmp_path):
     probe.write_text("np.fft.fftfreq(8)\nscipy.fft.dstn(v)\nfrom numpy.fft import fftfreq\n"
                      "grid.fft(v)\nx_fft(v)\n")
     assert not uses_fft(probe)
+
+
+X_TRANSFORMS = {"x_fft", "x_ifft", "x_rfft", "x_irfft"}
+
+
+def named(path):
+    """Every name the module at ``path`` uses, reads as an attribute or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update({node.name.split(".")[-1], node.asname})
+    return out
+
+
+def test_only_the_x_spectrum_chooses_the_rows_of_a_solve():
+    """``evolution`` and ``bvp`` transform in x only through the
+    ``XSpectrum`` of ``DiscretizedProblem.x_spectrum``, so the choice between
+    all n rows and the n/2 + 1 real ones is made in ``solver`` alone."""
+    for stem in ("evolution", "bvp"):
+        assert named(ROOT / "src" / "coesolve" / f"{stem}.py") & X_TRANSFORMS == set(), stem
+
+
+def test_the_name_scan_sees_each_form(tmp_path):
+    forms = ["from .grids import x_rfft\n", "from .grids import x_fft as fwd\n",
+             "grids.x_ifft(v)\n", "pick = x_irfft\n", "import coesolve.grids.x_fft\n"]
+    for i, form in enumerate(forms):
+        probe = tmp_path / f"probe{i}.py"
+        probe.write_text(form)
+        assert named(probe) & X_TRANSFORMS, form
+    probe = tmp_path / "clean.py"
+    probe.write_text("spec.forward(v)\nx_multiply(v, s)\n# x_fft\n'x_rfft'\n")
+    assert not named(probe) & X_TRANSFORMS

@@ -29,7 +29,13 @@ from coesolve.errors import (
     DegenerateSymbolError,
     InvalidArgumentError,
 )
-from coesolve.operators import DenseMatrixOperator
+from coesolve.grids import x_fft, x_ifft, x_irfft, x_rfft
+from coesolve.kernels import KERNEL_KINDS
+from coesolve.operators import (
+    DenseMatrixOperator,
+    DirichletLaplacian2D,
+    PeriodicSturmLiouvilleOperator,
+)
 
 
 def scalar_problem(c=1.0, half_width=16.0 * np.pi, n=512):
@@ -88,6 +94,74 @@ def test_certified_xi_joins_the_log_grid_and_the_solved_frequencies():
     assert len(xi) == len(set(make_xi_grid(per_side=50)) | set(solved))
     assert np.all(np.isin(solved, xi)) and np.abs(solved).max() > 1e3
     assert np.array_equal(prob.certified_xi(), np.union1d(make_xi_grid(), solved))
+
+
+SPECTRUM_OPERATORS = {
+    "dense": lambda: DenseMatrixOperator([[1.0, 0.5], [-0.25, 2.0]]),
+    "psl": lambda: PeriodicSturmLiouvilleOperator(b=1.0, n=4),
+    "laplacian-2d": lambda: DirichletLaplacian2D(2, 3, c=0.5),
+    "complex dense": lambda: DenseMatrixOperator([[1.0, 0.5], [-0.25 + 0.1j, 2.0]]),
+}
+
+
+def spectrum_problem(kind, kernel):
+    """A real second-order problem (but for a complex dense A) whose eta and
+    den carry ``kernel``: the odd exponential-paper kernel gives both a
+    complex Nyquist value."""
+    make = lambda amplitude: Kernel(kernel, amplitude=amplitude,
+                                    fourier_fn=lambda xi: 1.0 / (1.0 + xi * xi))
+    sym = SymbolSet(l=2, b=(0.5, 0.0, -1.0), nu=1.0, a_kernels={2: make(0.5)},
+                    mu_kernel=make(0.25))
+    return DiscretizedProblem(sym, SPECTRUM_OPERATORS[kind](), Grid(half_width=4.0, n=16))
+
+
+def spectrum_samples(prob):
+    """(3, n, dim) real samples: three stacked fields."""
+    return np.random.default_rng(3).standard_normal((3, prob.grid.n, prob.operator.dim))
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+@pytest.mark.parametrize("kind", sorted(SPECTRUM_OPERATORS))
+def test_the_complex_x_spectrum_is_every_row_of_x_fft(kind, kernel):
+    prob = spectrum_problem(kind, kernel)
+    values = spectrum_samples(prob) * (1.0 - 0.5j)
+    for spec in (prob.x_spectrum(False), prob.x_spectrum()):
+        assert not spec.real and spec.n == prob.grid.n
+        assert spec.den.tobytes() == prob.denominator_on_grid().tobytes()
+        assert spec.eta.tobytes() == prob.eta_on_grid().tobytes()
+        assert spec.forward(values).tobytes() == x_fft(values).tobytes()
+        assert spec.inverse(values).tobytes() == x_ifft(values).tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+@pytest.mark.parametrize("kind", sorted(set(SPECTRUM_OPERATORS) - {"complex dense"}))
+def test_the_real_x_spectrum_is_the_rows_of_x_rfft(kind, kernel):
+    """n/2 + 1 rows, the unpaired Nyquist row by its real part, and the
+    transforms of ``x_rfft``/``x_irfft``, which drop an imaginary part."""
+    prob = spectrum_problem(kind, kernel)
+    n, half = prob.grid.n, prob.grid.n // 2
+    spec = prob.x_spectrum(True)
+    assert spec.real and spec.n == n
+    for got, full in ((spec.den, prob.denominator_on_grid()), (spec.eta, prob.eta_on_grid())):
+        assert got.shape == (half + 1,) and got.dtype == complex
+        assert got[:half].tobytes() == full[:half].tobytes()
+        assert got[half] == full[half].real
+    assert (prob.eta_on_grid()[half].imag != 0) == (kernel == "exponential-paper")
+    values = spectrum_samples(prob)
+    coeffs = x_rfft(values)
+    assert spec.forward(values).tobytes() == coeffs.tobytes()
+    assert spec.forward(values + 1j).tobytes() == coeffs.tobytes()
+    assert spec.inverse(coeffs).tobytes() == x_irfft(coeffs, n).tobytes()
+    assert spec.inverse(coeffs).dtype == np.float64
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_a_complex_dense_a_keeps_every_row(kernel):
+    prob = spectrum_problem("complex dense", kernel)
+    spec = prob.x_spectrum(True)
+    assert not spec.real and len(spec.den) == len(spec.eta) == prob.grid.n
+    assert spec.den.tobytes() == prob.denominator_on_grid().tobytes()
+    assert spec.eta.tobytes() == prob.eta_on_grid().tobytes()
 
 
 # ---------------------------------------------------------------------------
