@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BlowUpError, InvalidArgumentError
 from .grids import Field, derivative_symbols, x_multiply
 from .norms import lp_norm
-from .solver import DiscretizedProblem
+from .solver import DiscretizedProblem, XSpectrum
 
 DEFAULT_BLOWUP_THRESHOLD = 1e8
 DEFAULT_STEP_TOL = 1e-3
@@ -124,13 +124,13 @@ class Nonlinearity:
 
 class _Propagator:
     """Per-frequency exact linear flow over one fixed step dt, on spectral
-    coefficients on the rows of ``problem.x_spectrum(real)`` (``self.real``:
-    the real ones).  ``_sample_flow`` builds a tiny state's flow from it."""
+    coefficients on the rows of ``spectrum``, an ``x_spectrum`` of ``problem``
+    (``self.real``: the real ones).  ``_sample_flow`` builds a tiny state's flow from it."""
 
-    def __init__(self, problem: DiscretizedProblem, dt: float, real: bool = False):
+    def __init__(self, problem: DiscretizedProblem, dt: float, spectrum: XSpectrum):
         self.problem = problem
         self.dt = float(dt)
-        self.spectrum = problem.x_spectrum(real)
+        self.spectrum = spectrum
         self.real = self.spectrum.real
         den, eta = self.spectrum.den, self.spectrum.eta
         self.diag = problem.operator.diagonalization()
@@ -256,7 +256,8 @@ def solve_cauchy_linear(
     problem.require_checked()
     problem.validate_field(u0)
     n_steps = step_count(t_final, dt)
-    prop = _Propagator(problem, dt, real=forcing is None and not np.any(u0.values.imag))
+    real = forcing is None and not np.any(u0.values.imag)
+    prop = _Propagator(problem, dt, problem.x_spectrum(real))
     values = u0.values.real.copy() if prop.real else u0.values.copy()
     w = prop.to_spectral(values)
     times, snaps = [0.0], [values]
@@ -375,8 +376,8 @@ def solve_cauchy_semilinear(
     n_steps = step_count(t_final, dt)
     tiny = u0.values.size ** 2 <= MATRIX_STEP_MAX_WORK
     real = nonlinearity.real and nonlinearity.arity == 0 and not np.any(u0.values.imag)
-    prop = _Propagator(problem, dt, real=real and not tiny)
-    half = _Propagator(problem, dt / 2.0, prop.real)
+    prop = _Propagator(problem, dt, problem.x_spectrum(real and not tiny))
+    half = _Propagator(problem, dt / 2.0, prop.spectrum)  # den and eta sampled once
 
     values = u0.values.real.copy() if prop.real else u0.values.copy()
     times, snaps = [0.0], [values.copy()]

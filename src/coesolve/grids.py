@@ -6,7 +6,8 @@ The whole-line problem is truncated to [-X, X) with n equispaced points
 Every transform in x is ``x_fft``/``x_ifft``, or ``x_rfft``/``x_irfft`` on
 the n/2 + 1 rows of real samples (chosen by ``DiscretizedProblem.x_spectrum``),
 along axis -2 of (..., n, dim).  Every scalar multiplier in x (derivatives,
-convolutions, Littlewood-Paley cutoffs) is applied by ``x_multiply``.
+convolutions, Littlewood-Paley cutoffs) is applied by ``x_multiply``, and
+every symbol is sampled by ``on_grid``, the one rule for the Nyquist row.
 """
 
 from __future__ import annotations
@@ -94,12 +95,19 @@ def x_irfft(values: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(values, n=n, axis=-2)
 
 
+def on_grid(symbol, xi: np.ndarray) -> np.ndarray:
+    """Complex ``symbol`` (of a frequency array, stacked on leading axes) on the n
+    frequencies ``xi``; row n/2, both -xi_N and +xi_N, takes 0.5 s(xi_N) + 0.5 s(-xi_N):
+    Hermitian symbols keep real data real, odd ones vanish there, even ones keep their bits."""
+    n = len(xi)
+    vals = np.array(symbol(np.append(xi, -xi[n // 2])), dtype=complex)  # a copy, written below
+    vals[..., n // 2] = 0.5 * vals[..., n // 2] + 0.5 * vals[..., n]  # halves cannot overflow
+    return vals[..., :n]
+
+
 def derivative_symbols(xi: np.ndarray, orders) -> np.ndarray:
-    """(len(orders), n) stack of the symbols (i xi)^k of d^k/dx^k.  Odd orders
-    zero the unpaired Nyquist row, the usual convention that keeps real fields real."""
-    syms = np.array([(1j * xi) ** k for k in orders], dtype=complex).reshape(-1, len(xi))
-    syms[np.asarray(orders) % 2 == 1, len(xi) // 2] = 0.0
-    return syms
+    """(len(orders), n) stack of the symbols (i xi)^k of d^k/dx^k, by ``on_grid``."""
+    return on_grid(lambda x: np.array([(1j * x) ** k for k in orders]).reshape(-1, len(x)), xi)
 
 
 def x_multiply(values: np.ndarray, symbols: np.ndarray) -> np.ndarray:

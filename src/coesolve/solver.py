@@ -23,7 +23,7 @@ from .errors import (
     ConditionNotCheckedError,
     InvalidArgumentError,
 )
-from .grids import Field, Grid, derivative_symbols, x_fft, x_ifft, x_irfft, x_multiply, x_rfft
+from .grids import Field, Grid, derivative_symbols, on_grid, x_fft, x_ifft, x_irfft, x_multiply, x_rfft
 from .norms import lp_norm, sobolev_norm
 from .operators import OperatorRealization
 from .symbols import (
@@ -33,9 +33,9 @@ from .symbols import (
     SymbolSet,
     char_poly,
     check_symbol_conditions,
+    checked_denominator,
     lambda_weights,
     make_xi_grid,
-    reduced_symbol,
 )
 
 
@@ -59,9 +59,9 @@ class DiscretizedProblem:
             raise InvalidArgumentError("p must be >= 1")
 
     def certified_xi(self, xi_grid=None):
-        """``xi_grid`` (default ``make_xi_grid()``) joined with every nonzero
-        frequency of the solver grid: what the gate and the Mikhlin bound see."""
-        solved = self.grid.xi
+        """``xi_grid`` (default ``make_xi_grid()``) joined with every nonzero frequency
+        that ``on_grid`` samples (grid and +xi_N): what the gate and the Mikhlin bound see."""
+        solved = np.append(self.grid.xi, -self.grid.xi[self.grid.n // 2])
         return np.union1d(make_xi_grid() if xi_grid is None else xi_grid, solved[solved != 0.0])
 
     def check_condition(self, xi_grid=None, lambda_sector: Optional[Sector] = None):
@@ -86,20 +86,22 @@ class DiscretizedProblem:
 
     # per-frequency scalar symbols on the solver grid
     def denominator_on_grid(self):
-        return np.asarray(self.symbols.denominator(self.grid.xi), dtype=complex)
+        return on_grid(self.symbols.denominator, self.grid.xi)
 
     def eta_on_grid(self):
-        return reduced_symbol(self.symbols, self.grid.xi)
+        """N / den, both by ``on_grid``: row n/2 then matches ``apply_operator``."""
+        den = checked_denominator(self.denominator_on_grid(), self.grid.xi)
+        return on_grid(lambda xi: char_poly(self.symbols, xi), self.grid.xi) / den
 
     def x_spectrum(self, real: bool = False) -> XSpectrum:
         """The rows of every per-frequency solve, the one realness rule: for ``real``
         samples under a real A with den and eta Hermitian on the grid bit for bit, the
-        n/2 + 1 of ``x_rfft`` (the Nyquist row by its real part), else all n of ``x_fft``."""
+        n/2 + 1 of ``x_rfft``, else all n of ``x_fft``."""
         n, den, eta = self.grid.n, self.denominator_on_grid(), self.eta_on_grid()
-        if not (real and self.operator.real and _hermitian(den) and _hermitian(eta)):
+        hermitian = lambda s: np.array_equal(s, np.roll(s[::-1], 1).conj())  # s[j] == conj(s[-j])
+        if not (real and self.operator.real and hermitian(den) and hermitian(eta)):
             return XSpectrum(n, den, eta, False)
-        return XSpectrum(n, np.append(den[:n // 2], den[n // 2].real),
-                         np.append(eta[:n // 2], eta[n // 2].real), True)
+        return XSpectrum(n, den[:n // 2 + 1], eta[:n // 2 + 1], True)
 
     def validate_field(self, f: Field):
         if f.grid != self.grid:
@@ -108,12 +110,6 @@ class DiscretizedProblem:
             raise InvalidArgumentError(
                 f"field dim {f.dim} != operator dim {self.operator.dim}"
             )
-
-
-def _hermitian(sym: np.ndarray) -> bool:
-    """Whether sym[j] == conj(sym[n - j]) for 0 < j < n/2, bit for bit, and sym[0] is real."""
-    half = len(sym) // 2
-    return sym[0].imag == 0 and np.array_equal(sym[1:half], sym[:half:-1].conj())
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def apply_operator(problem: DiscretizedProblem, u: Field, lam: complex = 0.0) ->
     problem.require_checked()
     problem.validate_field(u)
     den = problem.denominator_on_grid()
-    n_vals = np.asarray(char_poly(problem.symbols, problem.grid.xi), dtype=complex)
+    n_vals = on_grid(lambda xi: char_poly(problem.symbols, xi), problem.grid.xi)
     uh = x_fft(u.values)
     auh = x_fft(problem.operator.apply_many(u.values))
     out = (n_vals + den * lam)[:, None] * uh + den[:, None] * auh
@@ -200,21 +196,18 @@ def coercive_report(
     xi = problem.grid.xi
     norm = lambda values: lp_norm(Field(problem.grid, values), p)
 
-    symbols = [derivative_symbols(xi, range(1, sym.l + 1))]
     conv_ks = [k for k in range(sym.l + 1) if sym.a_kernels.get(k) is not None]
-    for k in conv_ks:
-        a_hat = np.asarray(sym.a_kernels[k].fourier(xi), dtype=complex)
-        symbols.append(a_hat * derivative_symbols(xi, [k]))  # odd k: no Nyquist row either
-    norms = [lp_norm(u, p)] + [norm(v) for v in x_multiply(u.values, np.vstack(symbols))]
+    # one stack: a_hat_k (i xi)^k at each kernel order, then mu_hat
+    conv = on_grid(lambda x: np.array([sym.a_hat(k, x) * (1j * x) ** k for k in conv_ks]
+                                      + [sym.mu_hat(x)]), xi)
+    symbols = np.vstack([derivative_symbols(xi, range(1, sym.l + 1)), conv[:-1]])
+    norms = [lp_norm(u, p)] + [norm(v) for v in x_multiply(u.values, symbols)]
     conv_norms = dict(zip(conv_ks, norms[sym.l + 1:]))
     deriv_terms = [float(w[k]) * norms[k] for k in range(sym.l + 1)]
     conv_terms = [float(w[k]) * conv_norms[k] if k in conv_norms else 0.0 for k in range(sym.l + 1)]
 
     au = problem.operator.apply_many(u.values)
-    mu_term = 0.0
-    if sym.mu_kernel is not None:
-        mu_symbol = np.asarray(sym.mu_kernel.fourier(xi), dtype=complex)
-        mu_term = norm(x_multiply(au, mu_symbol[None])[0])
+    mu_term = 0.0 if sym.mu_kernel is None else norm(x_multiply(au, conv[-1:])[0])
     return CoerciveReport(lam=lam, derivative_terms=deriv_terms, convolution_terms=conv_terms,
                           mu_conv_term=mu_term, au_term=norm(au), f_norm=f_norm)
 

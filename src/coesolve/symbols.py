@@ -107,19 +107,19 @@ def char_poly(symbols: SymbolSet, xi):
     return out if out.shape else complex(out)
 
 
-def reduced_symbol(symbols: SymbolSet, xi):
-    """eta(xi) = N(xi) / (mu_hat(xi) + nu).
+def checked_denominator(den, xi):
+    """``den`` (mu_hat + nu on ``xi``), or ``DegenerateSymbolError`` where it is below the floor."""
+    small = np.abs(den) < DENOM_FLOOR
+    if np.any(small):
+        bad = np.atleast_1d(np.asarray(xi)[small])[0]
+        raise DegenerateSymbolError(f"|mu_hat + nu| below {DENOM_FLOOR:g} at xi = {bad:g}")
+    return den
 
-    Raises ``DegenerateSymbolError`` when the denominator falls below the
-    machine-safe floor anywhere on ``xi``.
-    """
+
+def reduced_symbol(symbols: SymbolSet, xi):
+    """eta(xi) = N(xi) / (mu_hat(xi) + nu), the denominator by ``checked_denominator``."""
     xi = np.asarray(xi, dtype=float)
-    den = np.asarray(symbols.denominator(xi), dtype=complex)
-    if np.any(np.abs(den) < DENOM_FLOOR):
-        bad = np.asarray(xi)[np.abs(den) < DENOM_FLOOR]
-        raise DegenerateSymbolError(
-            f"|mu_hat + nu| below {DENOM_FLOOR:g} at xi = {np.atleast_1d(bad)[0]:g}"
-        )
+    den = checked_denominator(np.asarray(symbols.denominator(xi), dtype=complex), xi)
     out = np.asarray(char_poly(symbols, xi), dtype=complex) / den
     return out if out.shape else complex(out)
 
@@ -142,9 +142,7 @@ def scalar_prefactor(symbols: SymbolSet, index: Union[int, str], xi, lam: comple
     of the scalar value returned here.
     """
     xi = np.asarray(xi, dtype=float)
-    den = np.asarray(symbols.denominator(xi), dtype=complex)
-    if np.any(np.abs(den) < DENOM_FLOOR):
-        raise DegenerateSymbolError("|mu_hat + nu| below machine-safe floor")
+    den = checked_denominator(np.asarray(symbols.denominator(xi), dtype=complex), xi)
     if index == "sigma":
         out = (1.0 + lam) / den
     elif index in (0, 2):

@@ -585,18 +585,10 @@ def real_strip_data(prob, tg, seed, max_mode):
 
 @contextlib.contextmanager
 def complex_path(prob):
-    """``prob`` fails the one realness rule inside; its symbols get the real
-    Nyquist value that the real path solves with (a no-op for the even
-    kernels), so that both paths solve one system."""
+    """``prob`` fails the one realness rule inside and solves on all n rows of
+    its unchanged symbols, which the Nyquist rule makes the real path's."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prob, "x_spectrum", lambda real=False, rule=prob.x_spectrum: rule(False))
-        for name in ("denominator_on_grid", "eta_on_grid"):
-            def nyquist_real(on_grid=getattr(prob, name)):
-                sym = on_grid().copy()
-                sym[len(sym) // 2] = sym[len(sym) // 2].real
-                return sym
-
-            patch.setattr(prob, name, nyquist_real)
         yield
 
 

@@ -71,7 +71,7 @@ def test_eigenbasis_route_matches_expm_and_block_solve(a, seed):
     # one step of the propagator against the per-frequency expm of the
     # augmented block [[-dt M_j, dt I], [0, 0]]
     dt = 0.05
-    prop = _Propagator(prob, dt)
+    prop = _Propagator(prob, dt, prob.x_spectrum())
     stepped = prop.from_spectral(prop.advance(prop.to_spectral(vals), prop.to_spectral(forcing)))
     den, eta = prob.denominator_on_grid(), prob.eta_on_grid()
     vh, fh = np.fft.fft(vals, axis=0), np.fft.fft(forcing, axis=0)

@@ -171,7 +171,7 @@ def test_spectral_stepping_matches_per_step_round_trips(kind, n_steps, store_eve
         prob, Field(grid, u0), forcing=forcing, t_final=n_steps * dt, dt=dt,
         store_every=store_every,
     )
-    prop = _Propagator(prob, dt)
+    prop = _Propagator(prob, dt, prob.x_spectrum())
     values, expected = u0, [u0]
     for k in range(1, n_steps + 1):
         w = prop.advance(prop.to_spectral(values), prop.to_spectral(forcing((k - 1) * dt)))
@@ -376,6 +376,25 @@ def test_semilinear_step_evaluates_the_nonlinearity_twice():
     assert len(calls) == 2 * 25
 
 
+@pytest.mark.parametrize("imag", [0.0, 1e-3])
+def test_semilinear_run_samples_the_symbols_once(imag, monkeypatch):
+    """The dt/2 propagator steps on the x-spectrum of the dt one, so the
+    symbols are sampled once per run, on the real half and on all n rows."""
+    prob = convolution_problem(n=64)
+    calls = []
+    for name in ("x_spectrum", "eta_on_grid"):
+        def counted(*args, _name=name, _fn=getattr(prob, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(prob, name, counted)
+    u0 = Field.from_function(prob.grid, lambda x: 0.1 * np.exp(-(x**2)) + imag * 1j,
+                             weights=(1.0, 1.0))
+    cubic = Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(((3,), -1.0),))
+    state, _ = solve_cauchy_semilinear(prob, u0, cubic, t_final=0.05, dt=0.01)
+    assert state.real == (imag == 0.0)
+    assert calls == ["x_spectrum", "eta_on_grid"]
+
+
 def _record_steppers(patch):
     """Patch both semilinear steppers so that each run appends the name of
     the one it takes to the returned list."""
@@ -474,8 +493,8 @@ def _reference_semilinear(problem, u0, nl, t_final, dt, blowup_threshold, step_t
     call for the F(u) integral.  A tiny state steps on samples through the
     one-matrix flows.  Returns (times, snapshots, report)."""
     n_steps = step_count(t_final, dt)
-    prop = _Propagator(problem, dt)
-    half = _Propagator(problem, dt / 2.0)
+    prop = _Propagator(problem, dt, problem.x_spectrum())
+    half = _Propagator(problem, dt / 2.0, problem.x_spectrum())
     if u0.values.size ** 2 <= evolution.MATRIX_STEP_MAX_WORK:
         prop, half = _MatrixFlow(prop), _MatrixFlow(half)
     values = u0.values.copy()
@@ -730,15 +749,6 @@ def _real_problem(op, nu=1.0, kernel="exponential-paper"):
     return prob
 
 
-def _nyquist_real(symbol_on_grid):
-    """``symbol_on_grid`` with the unpaired Nyquist value replaced by its real part."""
-    def patched():
-        sym = symbol_on_grid().copy()
-        sym[len(sym) // 2] = sym[len(sym) // 2].real
-        return sym
-    return patched
-
-
 def _real_run(prob, u0, nl, store_every):
     """(state, report) of a linear run (``nl`` None, report None) or a semilinear one."""
     if nl is None:
@@ -761,10 +771,9 @@ def test_real_path_matches_the_complex_path(
 ):
     """Real band-limited data under a real operator steps on the n/2 + 1
     non-negative frequencies with float64 samples, and gives the complex
-    path's snapshots and report to rounding.  The complex path runs on the
-    symbols with a real Nyquist value, which is the operator the real path
-    integrates; for the even kernels that changes nothing, and for the odd
-    one the two differ only where F feeds the Nyquist mode."""
+    path's snapshots and report to rounding: both sample every symbol with
+    the one Nyquist rule, so they integrate one operator, also for the odd
+    kernel and a cubic F, which feeds the Nyquist mode."""
     op = _REAL_OPS[kind]()
     assert (op.diagonalization() is None) == (kind == "jordan")
     prob = _real_problem(op, kernel=kernel)
@@ -777,13 +786,11 @@ def test_real_path_matches_the_complex_path(
         "polynomial": Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(
             ((0,), c0), ((1,), c1), ((2,), c2), ((3,), c3))),
     }[form]
-    assert _Propagator(prob, 0.01, real=True).real
+    assert prob.x_spectrum(True).real
     state, report = _real_run(prob, u0, nl, store_every)
     with pytest.MonkeyPatch.context() as patch:
         # the one realness rule, asked for all n rows
         patch.setattr(prob, "x_spectrum", lambda real=False, rule=prob.x_spectrum: rule(False))
-        for name in ("denominator_on_grid", "eta_on_grid"):
-            patch.setattr(prob, name, _nyquist_real(getattr(prob, name)))
         ref_state, ref = _real_run(prob, u0, nl, store_every)
     assert state.real and not ref_state.real
     assert state.times == ref_state.times
@@ -807,7 +814,7 @@ def test_fallback_flow_is_the_expm_of_each_frequency(real):
     ``expm`` of [[-dt M_j, dt I], [0, 0]], on complex and on real-half rows."""
     op, dt = _REAL_OPS["jordan"](), 0.05
     prob = _real_problem(op)
-    prop = _Propagator(prob, dt, real=real)
+    prop = _Propagator(prob, dt, prob.x_spectrum(real))
     spectrum = prob.x_spectrum(real)
     den, eta = spectrum.den, spectrum.eta
     assert prop.diag is None and prop.real == real
@@ -848,10 +855,10 @@ def test_what_takes_the_complex_path(case):
         "arity 1": Nonlinearity(kind="pointwise-polynomial", arity=1, terms=(((1, 1), -1.0),)),
         "complex F coefficient": _cubic(-1.0 + 0.5j),
     }.get(case, _cubic())
-    # the size rule is the semilinear run's, not the propagator's: a tiny
-    # state's propagator allows the real flow, but its run steps on samples
-    propagator_real = case not in ("complex coefficient", "complex dense A")
-    assert _Propagator(prob, 0.01, real=True).real == propagator_real
+    # the size rule is the semilinear run's, not the spectrum's: a tiny
+    # state's problem allows the real spectrum, but its run steps on samples
+    spectrum_real = case not in ("complex coefficient", "complex dense A")
+    assert prob.x_spectrum(True).real == spectrum_real
     if case == "forcing":
         state = solve_cauchy_linear(prob, Field(grid, u0), forcing=lambda t: 0.0 * u0,
                                     t_final=0.05, dt=0.01)

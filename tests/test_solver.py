@@ -29,7 +29,7 @@ from coesolve.errors import (
     DegenerateSymbolError,
     InvalidArgumentError,
 )
-from coesolve.grids import x_fft, x_ifft, x_irfft, x_rfft
+from coesolve.grids import on_grid, x_fft, x_ifft, x_irfft, x_rfft
 from coesolve.kernels import KERNEL_KINDS
 from coesolve.operators import (
     DenseMatrixOperator,
@@ -71,12 +71,18 @@ def convolution_problem(n=256, mu_kernel=None, nu=1.0):
 
 
 def test_eta_on_grid_is_the_reduced_symbol():
+    """Bit for bit off the unpaired Nyquist row j = n/2.  On it, eta is the
+    mean N over -xi_N and +xi_N divided by the mean den; den = 1 here, so
+    that is the mean of eta itself, the real part of either value."""
     prob = convolution_problem()
-    xi = prob.grid.xi
+    xi, half = prob.grid.xi, prob.grid.n // 2
     eta = prob.eta_on_grid()
-    assert eta.tobytes() == reduced_symbol(prob.symbols, xi).tobytes()
-    quotient = np.asarray(char_poly(prob.symbols, xi), dtype=complex) / prob.denominator_on_grid()
-    assert eta.tobytes() == quotient.tobytes()
+    both = reduced_symbol(prob.symbols, np.append(xi, -xi[half]))
+    assert np.delete(eta, half).tobytes() == np.delete(both[:-1], half).tobytes()
+    assert eta[half] == 0.5 * both[half] + 0.5 * both[-1] == both[half].real
+    assert both[half].imag != 0.0
+    poly = on_grid(lambda x: char_poly(prob.symbols, x), xi)
+    assert eta.tobytes() == (poly / prob.denominator_on_grid()).tobytes()
 
 
 def test_eta_on_grid_refuses_a_vanishing_denominator():
@@ -89,7 +95,10 @@ def test_eta_on_grid_refuses_a_vanishing_denominator():
 def test_certified_xi_joins_the_log_grid_and_the_solved_frequencies():
     prob = scalar_problem(half_width=1.0, n=2048)
     xi = prob.certified_xi(make_xi_grid(per_side=50))
-    solved = prob.grid.xi[prob.grid.xi != 0.0]
+    # the solver grid and +xi_N, which the Nyquist rule samples too
+    solved = np.append(prob.grid.xi, -prob.grid.xi[prob.grid.n // 2])
+    solved = solved[solved != 0.0]
+    assert -prob.grid.xi[prob.grid.n // 2] in xi
     assert np.all(np.diff(xi) > 0.0) and np.all(xi != 0.0)
     assert len(xi) == len(set(make_xi_grid(per_side=50)) | set(solved))
     assert np.all(np.isin(solved, xi)) and np.abs(solved).max() > 1e3
@@ -104,13 +113,13 @@ SPECTRUM_OPERATORS = {
 }
 
 
-def spectrum_problem(kind, kernel):
+def spectrum_problem(kind, kernel, b=(0.5, 0.0, -1.0)):
     """A real second-order problem (but for a complex dense A) whose eta and
-    den carry ``kernel``: the odd exponential-paper kernel gives both a
-    complex Nyquist value."""
+    den carry ``kernel``: the odd exponential-paper kernel gives both an odd
+    imaginary part, which the Nyquist rule averages to 0 on row n/2."""
     make = lambda amplitude: Kernel(kernel, amplitude=amplitude,
                                     fourier_fn=lambda xi: 1.0 / (1.0 + xi * xi))
-    sym = SymbolSet(l=2, b=(0.5, 0.0, -1.0), nu=1.0, a_kernels={2: make(0.5)},
+    sym = SymbolSet(l=2, b=b, nu=1.0, a_kernels={2: make(0.5)},
                     mu_kernel=make(0.25))
     return DiscretizedProblem(sym, SPECTRUM_OPERATORS[kind](), Grid(half_width=4.0, n=16))
 
@@ -136,17 +145,16 @@ def test_the_complex_x_spectrum_is_every_row_of_x_fft(kind, kernel):
 @pytest.mark.parametrize("kernel", KERNEL_KINDS)
 @pytest.mark.parametrize("kind", sorted(set(SPECTRUM_OPERATORS) - {"complex dense"}))
 def test_the_real_x_spectrum_is_the_rows_of_x_rfft(kind, kernel):
-    """n/2 + 1 rows, the unpaired Nyquist row by its real part, and the
-    transforms of ``x_rfft``/``x_irfft``, which drop an imaginary part."""
+    """The first n/2 + 1 rows of the full symbols, whose unpaired Nyquist row
+    is real by the Nyquist rule, and the transforms of ``x_rfft``/``x_irfft``,
+    which drop an imaginary part."""
     prob = spectrum_problem(kind, kernel)
     n, half = prob.grid.n, prob.grid.n // 2
     spec = prob.x_spectrum(True)
     assert spec.real and spec.n == n
     for got, full in ((spec.den, prob.denominator_on_grid()), (spec.eta, prob.eta_on_grid())):
         assert got.shape == (half + 1,) and got.dtype == complex
-        assert got[:half].tobytes() == full[:half].tobytes()
-        assert got[half] == full[half].real
-    assert (prob.eta_on_grid()[half].imag != 0) == (kernel == "exponential-paper")
+        assert got.tobytes() == full[:half + 1].tobytes() and full[half].imag == 0.0
     values = spectrum_samples(prob)
     coeffs = x_rfft(values)
     assert spec.forward(values).tobytes() == coeffs.tobytes()
@@ -162,6 +170,41 @@ def test_a_complex_dense_a_keeps_every_row(kernel):
     assert not spec.real and len(spec.den) == len(spec.eta) == prob.grid.n
     assert spec.den.tobytes() == prob.denominator_on_grid().tobytes()
     assert spec.eta.tobytes() == prob.eta_on_grid().tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS + ("complex b",))
+def test_every_grid_symbol_takes_the_mean_on_the_nyquist_row(kernel):
+    """On row n/2, which stands for both -xi_N and +xi_N, den and the
+    char_poly N that ``apply_operator`` applies each take 0.5 s(xi_N) +
+    0.5 s(-xi_N), and eta is N / den there too, so that ``solve_linear``
+    inverts what ``apply_operator`` applies: for every kernel kind the real
+    part of a Hermitian symbol.  A complex b_0 and an imaginary b_1 make eta
+    non-Hermitian: its odd part averages to 0, the complex b_0 stays, and the
+    problem keeps all n rows."""
+    b = (0.5 + 0.2j, 0.3j, -1.0) if kernel == "complex b" else (0.5, 0.0, -1.0)
+    prob = spectrum_problem("dense", "gaussian" if kernel == "complex b" else kernel, b)
+    prob.check_condition()
+    grid, half, sym = prob.grid, prob.grid.n // 2, prob.symbols
+    signs = np.array([-grid.xi[half], grid.xi[half]])  # +xi_N, -xi_N
+    poly = lambda xi: char_poly(sym, xi)
+    den, n_val = (0.5 * s[0] + 0.5 * s[1] for s in (sym.denominator(signs), poly(signs)))
+    eta = n_val / den
+    assert prob.denominator_on_grid()[half] == pytest.approx(den, rel=1e-15)
+    assert prob.eta_on_grid()[half] == pytest.approx(eta, rel=1e-15)
+    assert on_grid(poly, grid.xi)[half] == pytest.approx(n_val, rel=1e-15)
+    if kernel == "complex b":
+        assert eta.imag == pytest.approx(0.2 / den.real, rel=1e-12)
+        assert not prob.x_spectrum(True).real
+    else:
+        assert den.imag == eta.imag == n_val.imag == 0.0 and prob.x_spectrum(True).real
+        assert n_val == pytest.approx(poly(signs[1]).real, rel=1e-15)
+    # the alternating field lives on row n/2 alone: (L u)_j = N u_j + den A u_j there
+    u = Field(grid, np.outer((-1.0) ** np.arange(grid.n), [1.0, 2.0]))
+    want = n_val * u.values + den * prob.operator.apply_many(u.values)
+    got = apply_operator(prob, u).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    back = solve_linear(prob, Field(grid, got)).values
+    assert np.max(np.abs(back - u.values)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 # ---------------------------------------------------------------------------
