@@ -184,6 +184,21 @@ def _then(parser, make):
 
 _cnum_list = _list_of(_cnum)
 
+
+def _matrix(v, path):
+    """Rows of complex entries: rectangular all-pair or all-number rows of finite floats and
+    ints as one array (pairs viewed as complex128, keeping every bit), the rest entry by entry."""
+    if isinstance(v, list) and v and all(isinstance(r, list) and r and len(r) == len(v[0]) for r in v):
+        pairs = all(isinstance(e, list) and len(e) == 2 for r in v for e in r)
+        flat = [x for r in v for e in r for x in e] if pairs else [e for r in v for e in r]
+        kinds = set(map(type, flat))
+        if kinds <= {float, int} and (int not in kinds or all(map(_is_num, flat))):
+            values = np.array(flat, dtype=float)
+            if np.isfinite(values).all():
+                return (values.view(complex) if pairs else values.astype(complex)).reshape(len(v), -1)
+    return _list_of(_cnum_list)(v, path)
+
+
 # ---------------------------------------------------------------------------
 # the problem: symbols, operator realization, grid
 # ---------------------------------------------------------------------------
@@ -222,7 +237,7 @@ _SYMBOLS = _obj({
     "a_kernels": (_kernel_orders, {}), "mu_kernel": (_KERNEL, None),
 })
 _OPERATOR = _kinds({
-    "dense-matrix": {"matrix": (_list_of(_cnum_list), None), "csv": (_str, None)},
+    "dense-matrix": {"matrix": (_matrix, None), "csv": (_str, None)},
     "periodic-sturm-liouville": {"b": (_num, None), "n": (_int, None)},
     "dirichlet-laplacian-2d": {"n_y": (_int, None), "n_z": (_int, None), "c": (_num, None)},
 })

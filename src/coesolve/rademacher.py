@@ -260,11 +260,10 @@ def scaled_resolvent_rbound(
         if not problem.lambda_sector.contains(lam):
             raise InvalidArgumentError(f"lambda {lam} outside the sector")
     member = MultiplierFamily.diagonal if problem.operator.unitary else MultiplierFamily.matrix
-    family = [
-        member(MultiplierFamily(problem.symbols, "sigma", lam, problem.operator), xi)
-        for xi in xi_samples
-        for lam in lambda_samples
-    ]
+    fams = [MultiplierFamily(problem.symbols, "sigma", lam, problem.operator)
+            for lam in lambda_samples]
+    family = [member(fam, sample) for xi in xi_samples
+              for sample in [problem.symbols.sample(xi)] for fam in fams]
     estimate = empirical_rbound(family, p=p, trials=trials, seed=seed)
     xi, lam = divmod(estimate.argmax, lambda_samples.size)
     estimate = replace(estimate, attained_at={

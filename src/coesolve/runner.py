@@ -139,12 +139,18 @@ def _lambda_sweep(run, s):
 
 
 def _mikhlin(run, s):
-    lambdas, grid = s["lambdas"], run.problem.certified_xi()
+    lambdas, grid, symbols = s["lambdas"], run.problem.certified_xi(), run.problem.symbols
+    samples = {}  # by value: each stencil row of mikhlin_bound, once for all families and lambdas
+
+    def sample(xi):
+        key = (xi.shape, xi.tobytes())
+        return samples[key] if key in samples else samples.setdefault(key, symbols.sample(xi))
+
     bounds = {}
     for index in s["families"]:
-        fams = {lam: MultiplierFamily(run.problem.symbols, index, lam) for lam in lambdas}
+        fams = {lam: MultiplierFamily(symbols, index, lam) for lam in lambdas}
         bounds[str(index)] = mikhlin_bound(
-            lambda lam, xi: fams[lam].scalar_symbol(xi), lambdas, grid
+            lambda lam, xi: fams[lam].scalar_symbol(sample(xi)), lambdas, grid
         )
     run.summary["bounds"] = bounds
     run.emit("mikhlin.json", run.summary)

@@ -88,16 +88,17 @@ class DiscretizedProblem:
     def denominator_on_grid(self):
         return on_grid(self.symbols.denominator, self.grid.xi)
 
-    def eta_on_grid(self):
-        """N / den, both by ``on_grid``: row n/2 then matches ``apply_operator``."""
-        den = checked_denominator(self.denominator_on_grid(), self.grid.xi)
+    def eta_on_grid(self, den=None):
+        """N / den (a ``denominator_on_grid`` unless given), both by ``on_grid``: row n/2
+        then matches ``apply_operator``."""
+        den = checked_denominator(self.denominator_on_grid() if den is None else den, self.grid.xi)
         return on_grid(lambda xi: char_poly(self.symbols, xi), self.grid.xi) / den
 
     def x_spectrum(self, real: bool = False) -> XSpectrum:
         """The rows of every per-frequency solve, the one realness rule: for ``real``
         samples under a real A with den and eta Hermitian on the grid bit for bit, the
         n/2 + 1 of ``x_rfft``, else all n of ``x_fft``."""
-        n, den, eta = self.grid.n, self.denominator_on_grid(), self.eta_on_grid()
+        n, eta = self.grid.n, self.eta_on_grid(den := self.denominator_on_grid())
         hermitian = lambda s: np.array_equal(s, np.roll(s[::-1], 1).conj())  # s[j] == conj(s[-j])
         if not (real and self.operator.real and hermitian(den) and hermitian(eta)):
             return XSpectrum(n, den, eta, False)

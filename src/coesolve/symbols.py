@@ -11,12 +11,18 @@ This module evaluates those symbols, checks the four admissibility clauses
 Mikhlin-type derivative bounds) on log-spaced grids, and builds the scalar
 prefactors of the bounded multiplier families used in the verification
 suite.
+
+A ``SymbolSet.sample`` holds den, N, eta, mu_hat, each a_hat_k and (i xi)^k on
+one frequency array, each evaluated once as its own function would, and the
+family members read it: the Mikhlin scenario shares one per stencil row among
+all families and lambdas, the scaled-resolvent R-bound one per xi.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -94,17 +100,41 @@ class SymbolSet:
         """mu_hat(xi) + nu."""
         return self.mu_hat(xi) + self.nu
 
+    def sample(self, xi) -> SymbolSample:
+        """Every scalar symbol on ``xi``, the denominator checked first; a sample comes back as is."""
+        if isinstance(xi, SymbolSample):
+            return xi
+        xi = np.asarray(xi, dtype=float)
+        mu_hat = self.mu_hat(xi)
+        den = checked_denominator(np.asarray(mu_hat + self.nu, dtype=complex), xi)
+        n, a_hat, powers = _char_poly(self, xi)
+        return SymbolSample(xi, mu_hat, den, a_hat, powers[:-1], n, n / den)
+
+
+# on the float array xi: den checked, n = N, eta = N / den, a_hat[k], powers[k] = (i xi)^k
+SymbolSample = namedtuple("SymbolSample", "xi mu_hat den a_hat powers n eta")
+
+
+def _shaped(out):
+    """``out`` as a complex array, or a Python complex when it is 0-d."""
+    out = np.asarray(out, dtype=complex)
+    return out if out.shape else complex(out)
+
+
+def _char_poly(symbols: SymbolSet, xi):
+    """N on the float array ``xi``, with the a_hat_k and the (i xi)^k, k = 0..l + 1, it used."""
+    ix, a_hat, powers = 1j * xi, [], [np.ones(xi.shape, dtype=complex)]
+    out = np.zeros(xi.shape, dtype=complex)
+    for k in range(symbols.l + 1):
+        a_hat.append(symbols.a_hat(k, xi))
+        out += (symbols.b[k] + a_hat[k]) * powers[k]
+        powers.append(powers[k] * ix)
+    return out, a_hat, powers
+
 
 def char_poly(symbols: SymbolSet, xi):
     """N(xi) = sum_{k=0}^{l} (b_k + a_hat_k(xi)) (i xi)^k."""
-    xi = np.asarray(xi, dtype=float)
-    ix = 1j * xi
-    out = np.zeros(xi.shape, dtype=complex)
-    power = np.ones(xi.shape, dtype=complex)
-    for k in range(symbols.l + 1):
-        out += (symbols.b[k] + symbols.a_hat(k, xi)) * power
-        power = power * ix
-    return out if out.shape else complex(out)
+    return _shaped(_char_poly(symbols, np.asarray(xi, dtype=float))[0])
 
 
 def checked_denominator(den, xi):
@@ -118,10 +148,7 @@ def checked_denominator(den, xi):
 
 def reduced_symbol(symbols: SymbolSet, xi):
     """eta(xi) = N(xi) / (mu_hat(xi) + nu), the denominator by ``checked_denominator``."""
-    xi = np.asarray(xi, dtype=float)
-    den = checked_denominator(np.asarray(symbols.denominator(xi), dtype=complex), xi)
-    out = np.asarray(char_poly(symbols, xi), dtype=complex) / den
-    return out if out.shape else complex(out)
+    return _shaped(symbols.sample(xi).eta)
 
 
 def lambda_weights(l: int, lam: complex):
@@ -139,30 +166,24 @@ def scalar_prefactor(symbols: SymbolSet, index: Union[int, str], xi, lam: comple
     derivatives, operator part, weighted convolutions, convolved operator
     part); ``"sigma"`` is the scaled resolvent prefactor (1 + lambda).
     Families 2 and 4 compose with A afterwards; the composition is not part
-    of the scalar value returned here.
+    of the scalar value returned here.  ``xi`` may be a ``SymbolSample``.
     """
-    xi = np.asarray(xi, dtype=float)
-    den = checked_denominator(np.asarray(symbols.denominator(xi), dtype=complex), xi)
+    s = symbols.sample(xi)
     if index == "sigma":
-        out = (1.0 + lam) / den
+        out = (1.0 + lam) / s.den
     elif index in (0, 2):
-        out = 1.0 / den
+        out = 1.0 / s.den
     elif index == 4:
-        out = np.asarray(symbols.mu_hat(xi), dtype=complex) / den
+        out = np.asarray(s.mu_hat, dtype=complex) / s.den
     elif index in (1, 3):
         w = lambda_weights(symbols.l, lam)
-        ix = 1j * xi
-        acc = np.zeros(xi.shape, dtype=complex)
-        power = np.ones(xi.shape, dtype=complex)
-        for k in range(symbols.l + 1):
-            factor = symbols.a_hat(k, xi) if index == 3 else 1.0
-            acc += w[k] * factor * power
-            power = power * ix
-        out = acc / den
+        acc = np.zeros(s.xi.shape, dtype=complex)
+        for w_k, a_k, power in zip(w, s.a_hat, s.powers):
+            acc += w_k * (a_k if index == 3 else 1.0) * power
+        out = acc / s.den
     else:
         raise InvalidArgumentError(f"unknown multiplier family index {index!r}")
-    out = np.asarray(out, dtype=complex)
-    return out if out.shape else complex(out)
+    return _shaped(out)
 
 
 def composes_with_operator(index: Union[int, str]) -> bool:
@@ -176,7 +197,7 @@ class MultiplierFamily:
 
     ``operator`` is an optional realization handle used to materialize the
     full matrix symbol or its eigenvalues; the scalar part alone never needs
-    it.
+    it.  Every member takes a ``SymbolSample`` of ``symbols`` in place of ``xi``.
     """
 
     symbols: SymbolSet
@@ -189,9 +210,8 @@ class MultiplierFamily:
 
     def scalar_symbol(self, xi):
         """Full symbol with the operator replaced by the scalar 1."""
-        eta = np.asarray(reduced_symbol(self.symbols, xi), dtype=complex)
-        out = np.asarray(self.prefactor(xi), dtype=complex) / (1.0 + eta + self.lam)
-        return out if out.shape else complex(out)
+        s = self.symbols.sample(xi)
+        return _shaped(np.asarray(self.prefactor(s), dtype=complex) / (1.0 + s.eta + self.lam))
 
     def _operator(self):
         if self.operator is None:
@@ -201,9 +221,8 @@ class MultiplierFamily:
     def diagonal(self, xi: float):
         """Eigenvalues of the member at one frequency, in the order of the
         operator's ``eigenvalues()`` (requires ``operator``)."""
-        op = self._operator()
-        eta = complex(reduced_symbol(self.symbols, float(xi)))
-        out = complex(self.prefactor(float(xi))) * op.resolvent_eigenvalues(eta + self.lam)
+        op, s = self._operator(), self.symbols.sample(xi)
+        out = complex(self.prefactor(s)) * op.resolvent_eigenvalues(complex(s.eta) + self.lam)
         if composes_with_operator(self.index):
             out = op.eigenvalues() * out
         return out
@@ -215,10 +234,9 @@ class MultiplierFamily:
         (A + eta + lambda)^{-1}, so the operator's one resolvent builds the
         transpose, which ``apply_many`` composes with A for indices 2 and 4.
         """
-        op = self._operator()
-        eta = complex(reduced_symbol(self.symbols, float(xi)))
-        rows = op.resolvent_solve_many(np.full(op.dim, eta + self.lam), np.eye(op.dim))
-        rows = complex(self.prefactor(float(xi))) * rows
+        op, s = self._operator(), self.symbols.sample(xi)
+        rows = op.resolvent_solve_many(np.full(op.dim, complex(s.eta) + self.lam), np.eye(op.dim))
+        rows = complex(self.prefactor(s)) * rows
         if composes_with_operator(self.index):
             rows = op.apply_many(rows)
         return rows.T
@@ -355,16 +373,17 @@ def mikhlin_bound(symbol_fns, h_samples, xi_grid, deriv_fns=None) -> float:
     xi_grid = np.asarray(xi_grid, dtype=float)
     if np.any(xi_grid == 0.0):
         raise InvalidArgumentError("xi grid must exclude 0")
+    step = 1e-5 * np.abs(xi_grid)
+    plus, minus = xi_grid + step, xi_grid - step
     bound = 0.0
     for h in h_samples:
         vals = np.asarray(symbol_fns(h, xi_grid), dtype=complex)
         if deriv_fns is not None:
             dervs = np.asarray(deriv_fns(h, xi_grid), dtype=complex)
         else:
-            step = 1e-5 * np.abs(xi_grid)
             dervs = (
-                np.asarray(symbol_fns(h, xi_grid + step), dtype=complex)
-                - np.asarray(symbol_fns(h, xi_grid - step), dtype=complex)
+                np.asarray(symbol_fns(h, plus), dtype=complex)
+                - np.asarray(symbol_fns(h, minus), dtype=complex)
             ) / (2.0 * step)
         local = np.maximum(np.abs(vals), np.abs(xi_grid * dervs))
         if not np.all(np.isfinite(local)):
