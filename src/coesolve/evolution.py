@@ -230,6 +230,8 @@ def step_count(t_final: float, dt: float) -> int:
     if not math.isfinite(ratio):
         raise InvalidArgumentError("t_final / dt overflows a float")
     n_steps = int(round(ratio))
+    if n_steps > 2**53:
+        raise InvalidArgumentError(f"t_final / dt = {ratio:g} steps: past 2**53 the times k dt repeat")
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise InvalidArgumentError("t_final must be an integer multiple of dt")
     return n_steps
@@ -280,8 +282,8 @@ def solve_cauchy_linear(
 class _FIntegral:
     """Running integral of ||F(u)||_p^p over accepted steps.  F(u) rows wait
     in a buffer of max(1, MATRIX_STEP_MAX_WORK // N) rows, and each full block
-    is reduced with ``lp_norm``'s ufuncs in its order, so the bits are those of
-    one ``lp_norm`` per step."""
+    is reduced as ``lp_norm`` reduces a step (``np.linalg.norm``, then the
+    powers summed), so the bits are those of one ``lp_norm`` per step."""
 
     def __init__(self, values: np.ndarray, dt: float, h: float, p: float):
         rows = max(1, MATRIX_STEP_MAX_WORK // values.size)
@@ -296,7 +298,7 @@ class _FIntegral:
 
     def flush(self) -> float:
         block, dt, h, p = self.buf[: self.rows], self.dt, self.h, self.p
-        mags = np.sqrt(np.add.reduce((block.conj() * block).real, axis=-1))
+        mags = np.linalg.norm(block, axis=-1)
         for s in np.add.reduce(mags**p, axis=-1).tolist():
             self.total += dt * ((h * s) ** (1.0 / p)) ** p
         self.rows = 0

@@ -51,13 +51,9 @@ def sobolev_norm(field: Field, l: int, p: float, operator=None) -> float:
     """Graph part ||u|| + ||Au|| plus sum_{k=0}^{l} ||d^k u/dx^k||, each in L_p."""
     if l < 0:
         raise InvalidArgumentError("l must be >= 0")
-    total = lp_norm(field, p)
-    if operator is not None:
-        au = Field(field.grid, operator.apply_many(field.values))
-        total += lp_norm(au, p)
-    else:
-        total += lp_norm(field, p)
-    total += lp_norm(field, p)  # k = 0
+    u_norm = lp_norm(field, p)
+    au = None if operator is None else Field(field.grid, operator.apply_many(field.values))
+    total = u_norm + (u_norm if au is None else lp_norm(au, p)) + u_norm  # ||u||, ||Au||, k = 0
     for dk in x_multiply(field.values, derivative_symbols(field.grid.xi, range(1, l + 1))):
         total += lp_norm(Field(field.grid, dk), p)
     return float(total)

@@ -83,12 +83,7 @@ def rademacher_lp_norm(vectors, p: float, sample: RademacherSample = None) -> fl
         sample = RademacherSample.plan(m)
     if sample.m != m:
         raise InvalidArgumentError("sample plan sized for a different m")
-    sums = sample.signs().astype(complex) @ v
-    # np.linalg.norm(sums, axis=1) without its product temporary; the same
-    # ufuncs on the same layout keep its bits
-    squares = sums.conj()
-    squares *= sums
-    mags = np.sqrt(np.add.reduce(squares.real, axis=1))
+    mags = np.linalg.norm(sample.signs().astype(complex) @ v, axis=1)
     return float(np.mean(mags**p) ** (1.0 / p))
 
 

@@ -84,25 +84,26 @@ class DiscretizedProblem:
                 "admissibility check failed; solves are blocked"
             )
 
-    # per-frequency scalar symbols on the solver grid
+    # per-frequency scalar symbols on the solver grid, read off its one sampler
     def denominator_on_grid(self):
-        return on_grid(self.symbols.denominator, self.grid.xi)
+        return self.x_spectrum().den
 
-    def eta_on_grid(self, den=None):
-        """N / den (a ``denominator_on_grid`` unless given), both by ``on_grid``: row n/2
-        then matches ``apply_operator``."""
-        den = checked_denominator(self.denominator_on_grid() if den is None else den, self.grid.xi)
-        return on_grid(lambda xi: char_poly(self.symbols, xi), self.grid.xi) / den
+    def eta_on_grid(self):
+        """eta = N / den on all n rows, as ``x_spectrum`` samples it."""
+        return self.x_spectrum().eta
 
     def x_spectrum(self, real: bool = False) -> XSpectrum:
-        """The rows of every per-frequency solve, the one realness rule: for ``real``
-        samples under a real A with den and eta Hermitian on the grid bit for bit, the
-        n/2 + 1 of ``x_rfft``, else all n of ``x_fft``."""
-        n, eta = self.grid.n, self.eta_on_grid(den := self.denominator_on_grid())
+        """The one sampler of the solver grid (den and N in one ``on_grid`` call, eta =
+        N / den, den checked) and the one realness rule for the rows of every solve: for
+        ``real`` samples under a real A with den and eta Hermitian on the grid bit for
+        bit, the n/2 + 1 of ``x_rfft``, else all n of ``x_fft``."""
+        n, sym, xi = self.grid.n, self.symbols, self.grid.xi
+        den, poly = on_grid(lambda x: np.array([sym.denominator(x), char_poly(sym, x)]), xi)
+        eta = poly / checked_denominator(den, xi)
         hermitian = lambda s: np.array_equal(s, np.roll(s[::-1], 1).conj())  # s[j] == conj(s[-j])
         if not (real and self.operator.real and hermitian(den) and hermitian(eta)):
-            return XSpectrum(n, den, eta, False)
-        return XSpectrum(n, den[:n // 2 + 1], eta[:n // 2 + 1], True)
+            return XSpectrum(n, den, poly, eta, False)
+        return XSpectrum(n, *(s[:n // 2 + 1] for s in (den, poly, eta)), True)
 
     def validate_field(self, f: Field):
         if f.grid != self.grid:
@@ -115,10 +116,12 @@ class DiscretizedProblem:
 
 @dataclass(frozen=True)
 class XSpectrum:
-    """The rows of ``DiscretizedProblem.x_spectrum``: den, eta and the x-transforms to them."""
+    """The rows of ``DiscretizedProblem.x_spectrum``: den, N, eta = N / den and the
+    x-transforms to them, the only ones in this module."""
 
     n: int
     den: np.ndarray
+    poly: np.ndarray  # N, the characteristic polynomial
     eta: np.ndarray
     real: bool  # the rows of x_rfft, for float64 samples
 
@@ -142,15 +145,15 @@ def solve_linear(problem: DiscretizedProblem, f: Field, lam: complex = 0.0) -> F
 
 
 def apply_operator(problem: DiscretizedProblem, u: Field, lam: complex = 0.0) -> Field:
-    """(L + lambda) u via the same per-frequency symbols as ``solve_linear``."""
+    """(L + lambda) u: (N + den lambda) u_hat + den (A u)^ on the rows of
+    ``x_spectrum``, the symbols that ``solve_linear`` divides by."""
     problem.require_checked()
     problem.validate_field(u)
-    den = problem.denominator_on_grid()
-    n_vals = on_grid(lambda xi: char_poly(problem.symbols, xi), problem.grid.xi)
-    uh = x_fft(u.values)
-    auh = x_fft(problem.operator.apply_many(u.values))
-    out = (n_vals + den * lam)[:, None] * uh + den[:, None] * auh
-    return Field(problem.grid, x_ifft(out))
+    spec = problem.x_spectrum()
+    uh = spec.forward(u.values)
+    auh = spec.forward(problem.operator.apply_many(u.values))
+    out = (spec.poly + spec.den * lam)[:, None] * uh + spec.den[:, None] * auh
+    return Field(problem.grid, spec.inverse(out))
 
 
 @dataclass

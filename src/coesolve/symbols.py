@@ -292,9 +292,10 @@ class ConditionReport:
         }
 
 
-def _derivative_sup(kernel: Kernel, xi):
-    """sup over m = 0, 1 of |xi^m d^m a_hat / d xi^m| on the grid."""
-    vals = np.abs(np.asarray(kernel.fourier(xi), dtype=complex))
+def _derivative_sup(kernel: Kernel, xi, a_hat):
+    """sup over m = 0, 1 of |xi^m d^m a_hat / d xi^m| on the grid, given the
+    kernel's transform ``a_hat`` on ``xi``; only the derivative is evaluated."""
+    vals = np.abs(np.asarray(a_hat, dtype=complex))
     dervs = np.abs(xi * np.asarray(kernel.fourier_deriv(xi), dtype=complex))
     return float(max(vals.max(), dervs.max()))
 
@@ -317,7 +318,8 @@ def check_symbol_conditions(
     if xi_grid.size < 2 or np.any(xi_grid == 0.0):
         raise InvalidArgumentError("xi grid must exclude 0 and have >= 2 points")
 
-    den = np.asarray(symbols.denominator(xi_grid), dtype=complex)
+    mu_hat = symbols.mu_hat(xi_grid)
+    den = np.asarray(mu_hat + symbols.nu, dtype=complex)
     c_mu = float(np.min(np.abs(den)))
     mu_inf = (
         symbols.mu_kernel.fourier_at_infinity() if symbols.mu_kernel is not None else 0j
@@ -325,7 +327,7 @@ def check_symbol_conditions(
     if mu_inf is not None:
         c_mu = min(c_mu, abs(symbols.nu + mu_inf))
 
-    n_vals = np.asarray(char_poly(symbols, xi_grid), dtype=complex)
+    n_vals, a_hat, _ = _char_poly(symbols, xi_grid)
     ratio = np.abs(n_vals) / np.abs(xi_grid) ** symbols.l
     c_n = float(np.min(ratio))
     # analytic tail: |N|/|xi|^l -> |b_l + a_hat_l(inf)| when that limit is known
@@ -343,9 +345,9 @@ def check_symbol_conditions(
         phi1 = math.pi
 
     c1 = 0.0
-    for ker in symbols.a_kernels.values():
-        c1 = max(c1, _derivative_sup(ker, xi_grid))
-    c2 = _derivative_sup(symbols.mu_kernel, xi_grid) if symbols.mu_kernel else 0.0
+    for k, ker in symbols.a_kernels.items():
+        c1 = max(c1, _derivative_sup(ker, xi_grid, a_hat[k]))
+    c2 = _derivative_sup(symbols.mu_kernel, xi_grid, mu_hat) if symbols.mu_kernel else 0.0
 
     phi2 = lambda_sector.angle
     return ConditionReport(

@@ -196,8 +196,9 @@ BAD_EDITS = [
      {**get_preset("problem-4.6")["solve-elliptic"]["bc"],
       "alpha1": 1.0, "beta1": 0.0, "alpha2": 1.0, "beta2": 0.0},
      "solve-elliptic.bc"),
-    # a step count t_final / dt that overflows a float
+    # a step count t_final / dt that overflows a float, and one past 2**53
     ("example-4.4", ("solve-parabolic", "dt"), 1e-320, "solve-parabolic.t_final"),
+    ("example-4.4", ("solve-parabolic", "dt"), 1e-300, "solve-parabolic.t_final"),
 ]
 
 

@@ -22,7 +22,7 @@ from coesolve import (
     solve_cauchy_semilinear,
     solve_linear,
 )
-from coesolve import evolution
+from coesolve import evolution, grids, solver
 from coesolve.errors import BlowUpError, InvalidArgumentError
 from coesolve.evolution import (
     DEFAULT_STEP_TOL,
@@ -30,7 +30,7 @@ from coesolve.evolution import (
     _Propagator,
     step_count,
 )
-from coesolve.grids import band_limited_random, spectral_derivative
+from coesolve.grids import band_limited_random, on_grid, spectral_derivative
 from coesolve.operators import (
     DenseMatrixOperator,
     DirichletLaplacian2D,
@@ -379,7 +379,8 @@ def test_semilinear_step_evaluates_the_nonlinearity_twice():
 @pytest.mark.parametrize("imag", [0.0, 1e-3])
 def test_semilinear_run_samples_the_symbols_once(imag, monkeypatch):
     """The dt/2 propagator steps on the x-spectrum of the dt one, so the
-    symbols are sampled once per run, on the real half and on all n rows."""
+    symbols are sampled once per run, on the real half and on all n rows:
+    one ``x_spectrum``, which makes the run's one ``on_grid`` call."""
     prob = convolution_problem(n=64)
     calls = []
     for name in ("x_spectrum", "eta_on_grid"):
@@ -387,12 +388,15 @@ def test_semilinear_run_samples_the_symbols_once(imag, monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(prob, name, counted)
+    sampled = []
+    for module in (grids, solver):
+        monkeypatch.setattr(module, "on_grid", lambda *a: sampled.append(1) or on_grid(*a))
     u0 = Field.from_function(prob.grid, lambda x: 0.1 * np.exp(-(x**2)) + imag * 1j,
                              weights=(1.0, 1.0))
     cubic = Nonlinearity(kind="pointwise-polynomial", arity=0, terms=(((3,), -1.0),))
     state, _ = solve_cauchy_semilinear(prob, u0, cubic, t_final=0.05, dt=0.01)
     assert state.real == (imag == 0.0)
-    assert calls == ["x_spectrum", "eta_on_grid"]
+    assert calls == ["x_spectrum"] and len(sampled) == 1
 
 
 def _record_steppers(patch):

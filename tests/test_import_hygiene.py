@@ -1,7 +1,8 @@
 """Every imported name is used: a stdlib ``ast`` scan of the package modules
 (except the re-exporting ``__init__.py``) and of the test files.  The same
-scan holds the layering: only the runner and the CLI import ``output``, and
-only ``grids`` transforms in x."""
+scan holds the layering: only the runner and the CLI import ``output``, only
+``grids`` transforms in x, and in ``solver`` only ``XSpectrum`` names an
+x-transform."""
 
 import ast
 from pathlib import Path
@@ -134,8 +135,13 @@ X_TRANSFORMS = {"x_fft", "x_ifft", "x_rfft", "x_irfft"}
 
 def named(path):
     """Every name the module at ``path`` uses, reads as an attribute or imports."""
+    return names_of(ast.parse(path.read_text()))
+
+
+def names_of(tree):
+    """Every name the syntax tree uses, reads as an attribute or imports."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -163,3 +169,28 @@ def test_the_name_scan_sees_each_form(tmp_path):
     probe = tmp_path / "clean.py"
     probe.write_text("spec.forward(v)\nx_multiply(v, s)\n# x_fft\n'x_rfft'\n")
     assert not named(probe) & X_TRANSFORMS
+
+
+
+def x_transform_users(path):
+    """The top-level statements of the module at ``path``, imports aside, that
+    name an x-transform: a definition by its name, anything else by its line."""
+    return {getattr(node, "name", f"line {node.lineno}")
+            for node in ast.parse(path.read_text()).body
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) and names_of(node) & X_TRANSFORMS}
+
+
+def test_only_the_x_spectrum_transforms_in_the_solver():
+    """``apply_operator``, ``solve_linear`` and the rest of ``solver`` take their
+    x-transforms from an ``XSpectrum``, as they take den, N and eta from it."""
+    assert x_transform_users(ROOT / "src" / "coesolve" / "solver.py") == {"XSpectrum"}
+
+
+def test_the_solver_scan_sees_each_user(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .grids import x_fft, x_ifft\n"
+                     "class XSpectrum:\n    def forward(self, v):\n        return x_fft(v)\n"
+                     "def apply_operator(u):\n    return grids.x_ifft(u)\n"
+                     "pick = x_irfft\n"
+                     "def solve_linear(spec, f):\n    return spec.inverse(spec.forward(f))\n")
+    assert x_transform_users(probe) == {"XSpectrum", "apply_operator", "line 7"}

@@ -372,9 +372,7 @@ def test_x_spectrum_samples_the_denominator_once(monkeypatch, real):
     assert len(calls) == 1
     assert spec.real == before.real
     assert spec.den.tobytes() == before.den.tobytes() and spec.eta.tobytes() == before.eta.tobytes()
-    den = problem.denominator_on_grid()
     assert spec.eta.tobytes() == problem.eta_on_grid()[: len(spec.eta)].tobytes()
-    assert problem.eta_on_grid(den).tobytes() == problem.eta_on_grid().tobytes()
 
 
 def test_x_spectrum_keeps_the_degenerate_denominator_error():
