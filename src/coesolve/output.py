@@ -4,8 +4,16 @@ Both CSV and JSON writers format floats with %.17g so repeated runs of the
 same configuration produce byte-identical files.  The JSON writer is a
 small local emitter because the stdlib encoder hard-codes repr for floats.
 
-``write_csv`` formats a table in chunks of about 4096 values with numpy and
-writes, value for value, the bytes of ``"%.17g" % x``.  That string shows the
+``write_csv`` writes, value for value, the bytes of ``"%.17g" % x``.  One
+pass over the bits first splits the columns: a column whose every value is
++0.0, such as an ``im_u*`` column of a real run, is never formatted (a
+column of -0.0, or of both zeros, is).  The other, live columns are
+formatted in chunks of about 4096 values with numpy; each run of zero
+columns becomes fixed text, "0," per column, folded into the separator
+after the live value before it as a one-byte placeholder that is expanded
+once the chunk's text is joined, and a run of leading zero columns is the
+tail of the row before (the first row writes it alone).  A table of zero
+columns only is one row repeated.  The digit string shows the
 17-digit integer D nearest to |x| 10^(16-e), where e is the decimal exponent
 of the rounded value.  Per value:
 
@@ -25,9 +33,10 @@ Every intermediate is a normal double for 1e-280 <= |x| < 1e280.  Values
 outside that range (subnormals included), nan, +-inf, near-ties, values
 still unresolved after the retries, and values with D = 10^16 whose
 comparison of y with 10^16 is within 1e-6 while 10^k is inexact are
-formatted by ``"%.17g" % x`` one by one.  An exact zero gets the row "0"
-or "-0" with its separator.  Where at least 1/8 of a chunk is +-0.0, as in
-the exact-zero ``im_u*`` columns of a real run, the zeros skip the digit
+formatted by ``"%.17g" % x`` one by one and spliced in before their
+separator.  An exact zero in a live column gets the row "0" or "-0" with
+its separator.  Where at least 1/8 of a chunk of live values is +-0.0, as
+in the underflowed tails of a sampled Gaussian, the zeros skip the digit
 pipeline: the other values are gathered, formatted and scattered back.
 ``tests/test_output.py`` keeps the old row loop as the reference.
 """
@@ -110,20 +119,28 @@ def field_table(x, values, t=None):
     """Header and rows of sampled fields: [t,] x, then re_u{d}, im_u{d} per component.
 
     ``values`` has shape (n, dim) at the points ``x``, or (len(t), n, dim)
-    with times ``t``; rows run over x fastest.
+    with times ``t``; rows run over x fastest.  The table is filled in place:
+    real (float64) values leave their im columns at +0.0 with no complex copy.
     """
-    values = np.ascontiguousarray(values, dtype=complex)
+    values = np.asarray(values)
     dim = values.shape[-1]
-    rows = values.size // dim
-    cols = [np.tile(x, rows // len(x)), values.view(float).reshape(rows, 2 * dim)]
     header = ["x"] + [f"{part}_u{d}" for d in range(dim) for part in ("re", "im")]
     if t is not None:
-        cols.insert(0, np.repeat(t, len(x)))
         header.insert(0, "t")
-    return header, np.column_stack(cols)
+    table = np.zeros((values.size // dim, len(header)))
+    blocks = table.reshape(-1, len(x), len(header))  # a view: one block per time
+    if t is not None:
+        blocks[:, :, 0] = np.asarray(t, dtype=float)[:, None]
+    blocks[:, :, len(header) - 2 * dim - 1] = x
+    u = values.reshape(len(table), dim)
+    if np.iscomplexobj(u):  # re and im interleaved, as the columns are
+        table[:, -2 * dim :] = np.ascontiguousarray(u, dtype=complex).view(float)
+    else:
+        table[:, -2 * dim :: 2] = u
+    return header, table
 
 
-# Values per formatting pass: bounds the temporaries to about 1 MB.
+# Values per formatting pass: bounds the temporaries to about 0.6 MB.
 _CHUNK = 4096
 # |x| range of the vectorized path, and the exponents its retries can reach.
 _LO, _HI = 1e-280, 1e280
@@ -144,6 +161,10 @@ _ZERO = ord("0") << 8 * _D0  # word 0 of "0"; "-0" adds the sign byte
 # Gathering a chunk's nonzero values and scattering their rows back costs about
 # what formatting 1/8 of it costs (2-vCPU x86-64: 50-100 us against 0.2 us a value).
 _SPARSE = 8
+# Bytes that no formatted value holds ("%.17g" shows digits, ".", "-", "+",
+# "e", "nan" and "inf"; the separators are "," and "\n"): each stands in, in
+# a separator slot, for the text of one kind of zero-column run.
+_PLACEHOLDERS = bytes(range(1, 10)) + bytes(range(11, 32)) + bytes(range(128, 256))
 
 
 class _Tables(NamedTuple):
@@ -271,8 +292,10 @@ def _significands(a, pow10):
     return d, e, ok
 
 
-def _masked_rows(values, d, e, sep, tab):
-    """Each value's row (layout above), masked down to the bytes it shows."""
+def _digit_words(d, tab):
+    """The leading digit of each D, its other 16 digits as ASCII bytes in
+    two words, and its count of trailing zeros.  The digit groups are freed
+    on return, before the row words are built beside the digit words."""
     # D = d0 q0 q1 q2 q3: a leading digit, then four 4-digit groups.
     d0 = d // 10**16
     rest = d - d0 * 10**16
@@ -282,22 +305,26 @@ def _masked_rows(values, d, e, sep, tab):
     q1 = upper - q0 * 10**4
     q2 = lower // 10**4
     q3 = lower - q2 * 10**4
-    digits1 = tab.quads[q0] | tab.quads[q1] << 32
-    digits2 = tab.quads[q2] | tab.quads[q3] << 32
-    fixed = (e >= -4) & (e < 17)
-    # "." goes after digit p - 1: p = 1 in exponent form, p = 17 (never
-    # shown) for 0.000ddd.
-    p = np.where(fixed, np.where(e < 0, 17, e + 1), 1)
-    m = [np.take(column, p) for column in tab.point]
-    row = np.empty((d.size, 4), np.uint64)
-    row[:, 0] = (d0.view(np.uint64) + ord("0")) << 56 | _PREFIX
-    row[:, 1] = digits1 & m[0] | m[1] | (digits1 << 8 | ord("0")) & m[2]
-    row[:, 2] = digits2 & m[3] | m[4] | (digits2 << 8 | digits1 >> 56) & m[5]
-    row[:, 3] = np.where(p == 17, np.uint64(ord(".")), digits2 >> 56) | tab.exps[e - _EMIN] | sep
     zeros = tab.trailing[q3]
     zeros = np.where(q3 == 0, 4 + tab.trailing[q2], zeros)
     zeros = np.where(lower == 0, 8 + tab.trailing[q1], zeros)
     zeros = np.where((lower == 0) & (q1 == 0), 12 + tab.trailing[q0], zeros)
+    return d0, tab.quads[q0] | tab.quads[q1] << 32, tab.quads[q2] | tab.quads[q3] << 32, zeros
+
+
+def _masked_rows(values, d, e, sep, tab):
+    """Each value's row (layout above), masked down to the bytes it shows."""
+    d0, digits1, digits2, zeros = _digit_words(d, tab)
+    fixed = (e >= -4) & (e < 17)
+    # "." goes after digit p - 1: p = 1 in exponent form, p = 17 (never
+    # shown) for 0.000ddd.
+    p = np.where(fixed, np.where(e < 0, 17, e + 1), 1)
+    m = tab.point  # each mask is taken where it is used, so one is alive at a time
+    row = np.empty((d.size, 4), np.uint64)
+    row[:, 0] = (d0.view(np.uint64) + ord("0")) << 56 | _PREFIX
+    row[:, 1] = digits1 & m[0][p] | m[1][p] | (digits1 << 8 | ord("0")) & m[2][p]
+    row[:, 2] = digits2 & m[3][p] | m[4][p] | (digits2 << 8 | digits1 >> 56) & m[5][p]
+    row[:, 3] = np.where(p == 17, np.uint64(ord(".")), digits2 >> 56) | tab.exps[e - _EMIN] | sep
     layout = np.where(fixed, e + 4, np.where((e <= -100) | (e >= 100), 22, 21))
     # Keys run as in _tables: layout, then 17 - zeros digits, then sign.
     key = (layout * 17 + 16 - zeros) * 2 + np.signbit(values)
@@ -345,6 +372,45 @@ def _format_values(values, sep):
     return b"".join(pieces)
 
 
+def _row_plan(bits):
+    """How the rows of a table, given by its bits, are written: the live
+    columns, the text before a row's first live value, each live value's
+    separator byte, and the (placeholder, text) pairs that expand those
+    bytes; None if every column is +0.0.
+
+    A +0.0 column is never formatted.  The text after a live value is ",0"
+    for each such column that follows it, then "," or, after a row's last
+    live value, "\n" and the next row's run of leading "0,".  Columns of
+    -0.0 or of both zeros stay live, and so do all columns if the runs
+    outnumber the placeholders."""
+    cols = bits.shape[1]
+    plain = slice(None), b"", b"," * (cols - 1) + b"\n", ()
+    zero = np.bitwise_or.reduce(bits, axis=0) == 0
+    if not zero.any():
+        return plain
+    if zero.all():
+        return None
+    live = np.flatnonzero(~zero)
+    js = live.tolist()
+    lead = b"0," * js[0]
+    texts = [b",0" * (end - j - 1) + b"," for j, end in zip(js, js[1:] + [cols])]
+    texts[-1] = texts[-1][:-1] + b"\n" + lead
+    fills = sorted(set(texts) - {b",", b"\n"})
+    if len(fills) > len(_PLACEHOLDERS):
+        return plain
+    code = {b",": ord(","), b"\n": ord("\n"), **dict(zip(fills, _PLACEHOLDERS))}
+    seps = bytes(map(code.__getitem__, texts))
+    return live, lead, seps, [(bytes([code[text]]), text) for text in fills]
+
+
+def _live_text(block, sep, fills):
+    """The text of rows whose live values are ``block``, zero runs expanded."""
+    text = _format_values(block.ravel(), sep[: block.size])
+    for placeholder, fill in fills:
+        text = text.replace(placeholder, fill)
+    return text
+
+
 def write_csv(path, header, table):
     """Write a 2-D float table under a fixed header, %.17g formatted."""
     table = np.asarray(table, dtype=float).reshape(len(table), len(header))
@@ -353,10 +419,17 @@ def write_csv(path, header, table):
         if not table.size:
             fh.write(b"\n" * len(table))
             return
-        step = max(1, _CHUNK // table.shape[1])
-        sep = np.full((min(step, len(table)), table.shape[1]), ord(","), np.uint64)
-        sep[:, -1] = ord("\n")
+        rows, cols = table.shape
+        plan = _row_plan(table.view(np.uint64))
+        if plan is None:
+            fh.write((b"0," * (cols - 1) + b"0\n") * rows)
+            return
+        live, lead, seps, fills = plan
+        step = max(1, _CHUNK // len(seps))  # rows per chunk of live values
+        sep = np.frombuffer(seps * min(step, rows), np.uint8).astype(np.uint64)
         sep <<= 8 * (_SEP - 24)
-        for start in range(0, len(table), step):
-            block = table[start : start + step]
-            fh.write(_format_values(block.ravel(), sep[: len(block)].ravel()))
+        fh.write(lead)
+        for start in range(0, rows, step):
+            fh.write(_live_text(table[start : start + step, live], sep, fills))
+        if lead:  # the last row's separator ended with a next row's lead
+            fh.truncate(fh.tell() - len(lead))

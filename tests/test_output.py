@@ -1,11 +1,13 @@
-"""The vectorized CSV writer against the row loop it replaced, and JSON
-string escapes.
+"""The vectorized CSV writer against the row loop it replaced, the tables
+of ``field_table``, and JSON string escapes.
 
 ``write_csv`` must write the bytes of ``"%.17g" % x`` for every value.  The
-reference below is the old writer, one ``line % tuple(row)`` per row.
+reference below is the old writer, one ``line % tuple(row)`` per row.  A
+column of +0.0 only is written without reaching ``_format_values``.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from coesolve import output
 from coesolve.cli import main
-from coesolve.output import to_json_text, write_csv
+from coesolve.output import field_table, to_json_text, write_csv
 from coesolve.presets import get_preset, preset_names
 
 CHUNK = output._CHUNK
@@ -137,6 +139,150 @@ def test_zero_rows_match_the_row_loop(tmp_path, mix):
     assert {"all zeros": share == 1.0, "no zeros": share == 0.0,
             "few zeros": 0.0 < share < 1 / output._SPARSE}.get(mix, share >= 1 / output._SPARSE)
     assert_same_bytes(tmp_path, table)
+
+
+# Column kinds: "0" all +0.0 (never formatted), "-" all -0.0, "m" both zeros,
+# "v" values with scattered zeros, "s" values that the writer formats with "%"
+# (nan, +-inf, subnormals, |x| >= 1e280), so that a splice precedes the
+# separator that a following zero run expands.
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 5e-324, -2.0**-1060, 1e280, -1.5e300, 1.7e308])
+
+
+def _column(kind, rng, rows):
+    if kind == "0":
+        return np.zeros(rows)
+    if kind == "-":
+        return np.full(rows, -0.0)
+    if kind == "m":  # both signs whenever there are two rows
+        return np.where(np.arange(rows) % 2 == 0, -0.0, 0.0)
+    if kind == "s":
+        return rng.choice(_SPECIALS, rows)
+    return _zero_mix(rng, rows, 0.2)
+
+
+def zero_column_table(kinds, rows, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([_column(kind, rng, rows) for kind in kinds], axis=1)
+
+
+def _rows_at_chunk_edges(kinds):
+    """Row counts around the writer's chunk of live values."""
+    step = max(1, CHUNK // max(1, sum(kind != "0" for kind in kinds)))
+    return sorted({rows for rows in (1, 2, step - 1, step, step + 1, 2 * step + 1) if rows >= 1})
+
+
+@pytest.mark.parametrize("kinds", [
+    "0v", "v0", "00v", "v00", "0v00v0", "v0s0v", "s00s000", "0000", "0", "0s0", "00v00",
+    "-0m0v", "0-", "m0", "s0-0m",
+], ids=str)
+def test_zero_columns_match_the_row_loop(tmp_path, kinds):
+    """Leading, trailing and adjacent runs of +0.0 columns, every column
+    +0.0, one live column, and columns of -0.0 or of both zeros, at every
+    row count around a chunk of live values."""
+    for rows in _rows_at_chunk_edges(kinds):
+        assert_same_bytes(tmp_path, zero_column_table(kinds, rows, len(kinds) * 1000 + rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.sampled_from("00-msv"), min_size=1, max_size=30).map("".join),
+       edge=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_random_zero_columns_match_the_row_loop(tmp_path_factory, kinds, edge, seed):
+    rows = _rows_at_chunk_edges(kinds)
+    table = zero_column_table(kinds, rows[edge % len(rows)], seed)
+    assert_same_bytes(tmp_path_factory.mktemp("zero-columns"), table)
+
+
+def test_many_distinct_zero_runs_match_the_row_loop(tmp_path):
+    """More kinds of zero run than there are placeholder bytes: one live
+    column, then runs of 1, 2, ..., 180 +0.0 columns."""
+    kinds = "".join("v" + "0" * run for run in range(1, 181))
+    assert_same_bytes(tmp_path, zero_column_table(kinds, 3, 0))
+
+
+def _spy(monkeypatch):
+    """The (values, separators) of every ``output._format_values`` call."""
+    calls, format_values = [], output._format_values
+
+    def spy(values, sep):
+        calls.append((values.copy(), sep.copy()))
+        return format_values(values, sep)
+
+    monkeypatch.setattr(output, "_format_values", spy)
+    return calls
+
+
+def test_no_value_of_a_zero_column_is_formatted(tmp_path, monkeypatch):
+    kinds = "0v0s-00m0v00"
+    live = [j for j, kind in enumerate(kinds) if kind != "0"]
+    calls = _spy(monkeypatch)
+    for rows in _rows_at_chunk_edges(kinds):
+        table = zero_column_table(kinds, rows, rows)
+        calls.clear()
+        write_csv(tmp_path / "t.csv", list(kinds), table)
+        step = CHUNK // len(live)
+        assert [len(values) for values, _ in calls] == [
+            len(live) * min(step, rows - start) for start in range(0, rows, step)]
+        formatted = np.concatenate([values for values, _ in calls])
+        assert formatted.tobytes() == np.ascontiguousarray(table[:, live]).tobytes()
+    calls.clear()
+    write_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((50, 2)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (700, 7), (5, 600), (4097, 1)], ids=str)
+def test_a_table_without_zero_columns_formats_as_before(tmp_path, monkeypatch, shape):
+    """The chunks and separators of the writer before zero columns were split off."""
+    rng = np.random.default_rng(shape[0])
+    table = rng.standard_normal(shape)
+    if shape[0] >= 3:  # +0.0 first and last rows, live in between: the columns stay live
+        table[[0, -1]] = 0.0
+    calls = _spy(monkeypatch)
+    write_csv(tmp_path / "t.csv", [f"c{j}" for j in range(shape[1])], table)
+    step = max(1, CHUNK // shape[1])
+    sep = np.full(shape, ord(","), np.uint64)
+    sep[:, -1] = ord("\n")
+    sep <<= 8 * 6
+    want = [(table[start : start + step].ravel(), sep[start : start + step].ravel())
+            for start in range(0, shape[0], step)]
+    assert len(calls) == len(want)
+    for (values, seps), (want_values, want_seps) in zip(calls, want):
+        assert values.tobytes() == want_values.tobytes()
+        assert seps.tobytes() == want_seps.tobytes()
+
+
+@pytest.mark.parametrize("times", [None, 3], ids=["snapshot", "trajectory"])
+def test_a_real_field_table_has_the_bits_of_its_complex_twin(times):
+    """float64 samples fill a zeroed table, with no complex copy of them:
+    the same table as their complex128 twin, at a peak of the table alone."""
+    rng = np.random.default_rng(5)
+    x = np.linspace(-4.0, 4.0, 64, endpoint=False)
+    values = rng.standard_normal((64, 9) if times is None else (times, 64, 9))
+    t = None if times is None else np.linspace(0.0, 1.0, times)
+    header, want = field_table(x, values.astype(complex), t)
+    tracemalloc.start()
+    got = field_table(x, values, t)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got[0] == header == ([] if t is None else ["t"]) + ["x"] + [
+        f"{part}_u{d}" for d in range(9) for part in ("re", "im")]
+    assert got[1].tobytes() == want.tobytes()
+    assert not got[1][:, 1 - 18 :: 2].view(np.uint64).any()  # im columns: +0.0
+    assert peak < want.nbytes + values.nbytes // 2
+
+
+def test_a_chunk_of_live_values_peaks_below_its_budget():
+    """A full chunk formats in under 160 bytes a value: the digit groups are
+    freed before the row words are built (240 bytes a value while both lived)."""
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal(CHUNK) * 10.0 ** rng.uniform(-20, 20, CHUNK)
+    sep = np.full(CHUNK, ord(",") << 48, np.uint64)
+    output._format_values(values, sep)  # builds the lookup tables once
+    tracemalloc.start()
+    text = output._format_values(values, sep)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert text == b"".join(b"%.17g," % v for v in values.tolist())
+    assert peak < 160 * CHUNK
 
 
 def test_empty_table_writes_the_header(tmp_path):
