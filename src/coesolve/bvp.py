@@ -58,6 +58,15 @@ def check_nondegenerate(bc: BoundaryConditions) -> complex:
     return bc.alpha1 * bc.beta2 - bc.alpha2 * bc.beta1
 
 
+def is_degenerate(bc) -> bool:
+    """Whether the determinant vanishes beside its two products:
+    |alpha1 beta2 - alpha2 beta1| <= DEGENERACY_FLOOR (|alpha1 beta2| +
+    |alpha2 beta1|).  A row scaled with its data keeps the answer, and an
+    exact zero is degenerate."""
+    left, right = bc.alpha1 * bc.beta2, bc.alpha2 * bc.beta1
+    return abs(left - right) <= DEGENERACY_FLOOR * (abs(left) + abs(right))
+
+
 @dataclass(frozen=True)
 class TGrid:
     """Uniform nodes t_i = i dt, i = 0..m+1, dt = T/(m+1); m interior points."""
@@ -203,7 +212,7 @@ def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid:
     solve of ``tgrid`` but the forcing: t-modes, x-spectrum, shifts,
     boundary data, on the rows of ``_strip_spectrum``."""
     problem.require_checked()
-    if abs(check_nondegenerate(bc)) < DEGENERACY_FLOOR:
+    if is_degenerate(bc):
         raise DegenerateBoundaryError("boundary rows have vanishing determinant")
     problem.validate_field(bc.f1)
     problem.validate_field(bc.f2)

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bvp import DEGENERACY_FLOOR, check_nondegenerate
+from .bvp import is_degenerate
 from .errors import ConfigError, InvalidArgumentError
 from .evolution import DEFAULT_BLOWUP_THRESHOLD, DEFAULT_STEP_TOL, Nonlinearity, step_count
 from .grids import Field, Grid, band_limited_random
@@ -366,7 +366,7 @@ def _strip_rules(s, path):
     if s["nonlinearity"] is not None and s["nonlinearity"].arity > 1:
         raise ConfigError("strip nonlinearities take (u,) or (u, u_t)",
                           f"{path}.nonlinearity.arity")
-    if abs(check_nondegenerate(SimpleNamespace(**s["bc"]))) < DEGENERACY_FLOOR:
+    if is_degenerate(SimpleNamespace(**s["bc"])):
         raise ConfigError("boundary rows have vanishing determinant", f"{path}.bc")
     return _no_semilinear_forcing(s, path)
 

@@ -5,17 +5,15 @@ same configuration produce byte-identical files.  The JSON writer is a
 small local emitter because the stdlib encoder hard-codes repr for floats.
 
 ``write_csv`` writes, value for value, the bytes of ``"%.17g" % x``.  One
-pass over the bits first splits the columns: a column whose every value is
-+0.0, such as an ``im_u*`` column of a real run, is never formatted (a
-column of -0.0, or of both zeros, is).  The other, live columns are
-formatted in chunks of about 4096 values with numpy; each run of zero
-columns becomes fixed text, "0," per column, folded into the separator
-after the live value before it as a one-byte placeholder that is expanded
-once the chunk's text is joined, and a run of leading zero columns is the
-tail of the row before (the first row writes it alone).  A table of zero
-columns only is one row repeated.  The digit string shows the
-17-digit integer D nearest to |x| 10^(16-e), where e is the decimal exponent
-of the rounded value.  Per value:
+pass over the bits first splits the columns: a column after the first whose
+every value is +0.0, such as an ``im_u*`` column of a real run, is never
+formatted.  The other, live columns (the first column, and columns of -0.0
+or of both zeros, among them) are formatted in chunks of about 4096 values
+with numpy; each run of +0.0 columns becomes fixed text, ",0" per column,
+folded into the separator after the live value before it as a one-byte
+placeholder that is expanded once the chunk's text is joined.  The digit
+string shows the 17-digit integer D nearest to |x| 10^(16-e), where e is the
+decimal exponent of the rounded value.  Per value:
 
 - e starts at floor(log10|x|).
 - y = |x| 10^k, k = 16 - e, is formed as the unevaluated sum p + t.  The
@@ -28,17 +26,15 @@ of the rounded value.  Per value:
 - D outside [10^16, 10^17], or D = 10^16 with y < 10^16, means e was off by
   one: that value is redone with e -/+ 1, at most four times.  D = 10^17 is a
   carry: D = 10^16 at e + 1.
+- An exact zero has D = 0 at e = 0, which shows as "0", or "-0" with its
+  sign bit.
 
 Every intermediate is a normal double for 1e-280 <= |x| < 1e280.  Values
 outside that range (subnormals included), nan, +-inf, near-ties, values
 still unresolved after the retries, and values with D = 10^16 whose
 comparison of y with 10^16 is within 1e-6 while 10^k is inexact are
 formatted by ``"%.17g" % x`` one by one and spliced in before their
-separator.  An exact zero in a live column gets the row "0" or "-0" with
-its separator.  Where at least 1/8 of a chunk of live values is +-0.0, as
-in the underflowed tails of a sampled Gaussian, the zeros skip the digit
-pipeline: the other values are gathered, formatted and scattered back.
-``tests/test_output.py`` keeps the old row loop as the reference.
+separator.  ``tests/test_output.py`` keeps the old row loop as the reference.
 """
 
 from __future__ import annotations
@@ -118,25 +114,27 @@ def write_json(path, obj):
 def field_table(x, values, t=None):
     """Header and rows of sampled fields: [t,] x, then re_u{d}, im_u{d} per component.
 
-    ``values`` has shape (n, dim) at the points ``x``, or (len(t), n, dim)
-    with times ``t``; rows run over x fastest.  The table is filled in place:
-    real (float64) values leave their im columns at +0.0 with no complex copy.
+    ``values`` has shape (n, dim) at the points ``x``, or is a sequence of
+    len(t) such snapshots (a (len(t), n, dim) array too) with times ``t``;
+    rows run over x fastest.  The table is filled in place, one block per
+    snapshot: real (float64) values leave their im columns at +0.0 with no
+    complex copy.
     """
-    values = np.asarray(values)
-    dim = values.shape[-1]
+    snapshots = [values] if t is None else values
+    dim = np.shape(snapshots[0])[-1]
     header = ["x"] + [f"{part}_u{d}" for d in range(dim) for part in ("re", "im")]
     if t is not None:
         header.insert(0, "t")
-    table = np.zeros((values.size // dim, len(header)))
+    table = np.zeros((len(snapshots) * len(x), len(header)))
     blocks = table.reshape(-1, len(x), len(header))  # a view: one block per time
     if t is not None:
         blocks[:, :, 0] = np.asarray(t, dtype=float)[:, None]
     blocks[:, :, len(header) - 2 * dim - 1] = x
-    u = values.reshape(len(table), dim)
-    if np.iscomplexobj(u):  # re and im interleaved, as the columns are
-        table[:, -2 * dim :] = np.ascontiguousarray(u, dtype=complex).view(float)
-    else:
-        table[:, -2 * dim :: 2] = u
+    for block, u in zip(blocks, snapshots):
+        if np.iscomplexobj(u):  # re and im interleaved, as the columns are
+            block[:, -2 * dim :] = np.ascontiguousarray(u, dtype=complex).view(float)
+        else:
+            block[:, -2 * dim :: 2] = u
     return header, table
 
 
@@ -157,10 +155,6 @@ _ALL = (1 << 64) - 1
 _NEG, _FIX, _D0, _EXP, _SEP = 0, 1, 7, 25, 30
 _ROW = 32
 _PREFIX = int.from_bytes(b"-0.000", "little")  # bytes 0-5 of word 0
-_ZERO = ord("0") << 8 * _D0  # word 0 of "0"; "-0" adds the sign byte
-# Gathering a chunk's nonzero values and scattering their rows back costs about
-# what formatting 1/8 of it costs (2-vCPU x86-64: 50-100 us against 0.2 us a value).
-_SPARSE = 8
 # Bytes that no formatted value holds ("%.17g" shows digits, ".", "-", "+",
 # "e", "nan" and "inf"; the separators are "," and "\n"): each stands in, in
 # a separator slot, for the text of one kind of zero-column run.
@@ -339,26 +333,16 @@ def _format_values(values, sep):
     ``sep`` holds each value's separator byte shifted to byte 6 of a word.
     """
     tab = _tables()
-    zero = values == 0
-    zeros = np.flatnonzero(zero)
-    # zeros leave the digit pipeline once they are at least 1/_SPARSE of the chunk
-    live = np.flatnonzero(~zero) if zeros.size * _SPARSE >= values.size else slice(None)
-    v, live_sep = values[live], sep[live]
-    a = np.abs(v)
+    a = np.abs(values)
     in_range = (a >= _LO) & (a < _HI)
+    zero = a == 0
     # 2.0 stands in for the rest: any value with D in (10^16, 10^17) avoids a retry.
     d, e, good = _significands(np.where(in_range, a, 2.0), tab.pow10)
-    kept = _masked_rows(v, d, e, live_sep, tab)
-    bad = np.flatnonzero(~(good & in_range | (a == 0)))
+    d[zero] = 0  # D = 0 at the stand-in's e = 0: "0", or "-0" with the sign bit
+    kept = _masked_rows(values, d, e, sep, tab)
+    bad = np.flatnonzero(~(good & in_range | zero))
     kept[bad] = 0
-    kept[bad, 3] = live_sep[bad]  # the separator only
-    if not isinstance(live, slice):
-        rows, kept = kept, np.empty((values.size, 4), np.uint64)
-        kept.view(f"V{_ROW}")[live] = rows.view(f"V{_ROW}")
-        bad = live[bad]
-    kept[zeros] = 0  # "0" or "-0", then the separator
-    kept[zeros, 0] = np.where(np.signbit(values[zeros]), _ZERO | ord("-"), _ZERO)
-    kept[zeros, 3] = sep[zeros]
+    kept[bad, 3] = sep[bad]  # the separator only
     text = kept.astype("<u8", copy=False).tobytes().translate(None, b"\0")
     if not bad.size:
         return text
@@ -374,33 +358,29 @@ def _format_values(values, sep):
 
 def _row_plan(bits):
     """How the rows of a table, given by its bits, are written: the live
-    columns, the text before a row's first live value, each live value's
-    separator byte, and the (placeholder, text) pairs that expand those
-    bytes; None if every column is +0.0.
+    columns, each live value's separator byte, and the (placeholder, text)
+    pairs that expand those bytes.
 
-    A +0.0 column is never formatted.  The text after a live value is ",0"
-    for each such column that follows it, then "," or, after a row's last
-    live value, "\n" and the next row's run of leading "0,".  Columns of
-    -0.0 or of both zeros stay live, and so do all columns if the runs
-    outnumber the placeholders."""
+    A +0.0 column after the first is never formatted.  The text after a
+    live value is ",0" for each such column that follows it, then "," or,
+    after a row's last live value, "\n".  The first column, columns of -0.0
+    or of both zeros, and all columns if the runs outnumber the
+    placeholders, stay live."""
     cols = bits.shape[1]
-    plain = slice(None), b"", b"," * (cols - 1) + b"\n", ()
+    plain = slice(None), b"," * (cols - 1) + b"\n", ()
     zero = np.bitwise_or.reduce(bits, axis=0) == 0
+    zero[0] = False
     if not zero.any():
         return plain
-    if zero.all():
-        return None
-    live = np.flatnonzero(~zero)
-    js = live.tolist()
-    lead = b"0," * js[0]
+    js = np.flatnonzero(~zero).tolist()
     texts = [b",0" * (end - j - 1) + b"," for j, end in zip(js, js[1:] + [cols])]
-    texts[-1] = texts[-1][:-1] + b"\n" + lead
+    texts[-1] = texts[-1][:-1] + b"\n"
     fills = sorted(set(texts) - {b",", b"\n"})
     if len(fills) > len(_PLACEHOLDERS):
         return plain
     code = {b",": ord(","), b"\n": ord("\n"), **dict(zip(fills, _PLACEHOLDERS))}
     seps = bytes(map(code.__getitem__, texts))
-    return live, lead, seps, [(bytes([code[text]]), text) for text in fills]
+    return js, seps, [(bytes([code[text]]), text) for text in fills]
 
 
 def _live_text(block, sep, fills):
@@ -419,17 +399,10 @@ def write_csv(path, header, table):
         if not table.size:
             fh.write(b"\n" * len(table))
             return
-        rows, cols = table.shape
-        plan = _row_plan(table.view(np.uint64))
-        if plan is None:
-            fh.write((b"0," * (cols - 1) + b"0\n") * rows)
-            return
-        live, lead, seps, fills = plan
+        rows = len(table)
+        live, seps, fills = _row_plan(table.view(np.uint64))
         step = max(1, _CHUNK // len(seps))  # rows per chunk of live values
         sep = np.frombuffer(seps * min(step, rows), np.uint8).astype(np.uint64)
         sep <<= 8 * (_SEP - 24)
-        fh.write(lead)
         for start in range(0, rows, step):
             fh.write(_live_text(table[start : start + step, live], sep, fills))
-        if lead:  # the last row's separator ended with a next row's lead
-            fh.truncate(fh.tell() - len(lead))

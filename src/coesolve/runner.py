@@ -118,7 +118,10 @@ def _solve_linear(run, s):
 
 
 def _lambda_sweep(run, s):
-    sweep = lambda_sweep(run.problem, run.field(s["forcing"]), s["lambdas"])
+    f = run.field(s["forcing"])
+    if lp_norm(f, run.problem.p) == 0.0:  # lambda_sweep's refusal, decided by the config
+        raise ConfigError("sweep forcing must be nonzero", "lambda-sweep.forcing")
+    sweep = lambda_sweep(run.problem, f, s["lambdas"])
     run.summary.update(
         {
             "max_resolvent_value": sweep.max_resolvent_value,
@@ -189,7 +192,7 @@ def _solve_parabolic(run, s):
         run.emit("report.json", report)
     run.manifest["x_spectrum"] = "real-half" if state.real else "complex"
     run.emit("trajectory.csv",
-             lambda: field_table(problem.grid.x, np.stack(state.snapshots), state.times))
+             lambda: field_table(problem.grid.x, state.snapshots, state.times))
 
 
 def _solve_elliptic(run, s):

@@ -199,6 +199,19 @@ BAD_EDITS = [
     # a step count t_final / dt that overflows a float, and one past 2**53
     ("example-4.4", ("solve-parabolic", "dt"), 1e-320, "solve-parabolic.t_final"),
     ("example-4.4", ("solve-parabolic", "dt"), 1e-300, "solve-parabolic.t_final"),
+    # proportional rows: an exact zero determinant, and one of -3.9e-31 (rounding)
+    # beside products of 2.1e-15
+    ("problem-4.6", ("solve-elliptic", "bc"),
+     {**get_preset("problem-4.6")["solve-elliptic"]["bc"],
+      "alpha1": 1.0, "beta1": 2.0, "alpha2": 2.0, "beta2": 4.0},
+     "solve-elliptic.bc"),
+    ("problem-4.6", ("solve-elliptic", "bc"),
+     {**get_preset("problem-4.6")["solve-elliptic"]["bc"],
+      "alpha1": 7e-8, "beta1": 1e-8, "alpha2": 2.1e-7, "beta2": 3e-8},
+     "solve-elliptic.bc"),
+    # a sweep forcing of L_p norm 0, which lambda_sweep refuses
+    ("example-4.3-sweep", ("lambda-sweep", "forcing"), {"type": "zero"}, "lambda-sweep.forcing"),
+    ("example-4.3-sweep", ("lambda-sweep", "forcing", "amplitude"), 0, "lambda-sweep.forcing"),
 ]
 
 
@@ -545,6 +558,26 @@ def test_cli_exit_codes_for_failing_runs(tmp_path, capsys):
     cfg3 = tmp_path / "degenerate.json"
     cfg3.write_text(json.dumps(elliptic))
     assert main(["solve-elliptic", "--config", str(cfg3)]) == 2
+
+
+def test_scaled_robin_rows_solve_the_same_problem(tmp_path):
+    """Each Robin row and its data times 1e-7 is the same problem: the
+    determinant test is relative to its two products."""
+    config = get_preset("problem-4.6")
+    scaled = copy.deepcopy(config)
+    bc = scaled["solve-elliptic"]["bc"]
+    for alpha, beta, data in (("alpha1", "beta1", "f1"), ("alpha2", "beta2", "f2")):
+        bc[alpha] *= 1e-7
+        bc[beta] *= 1e-7
+        bc[data]["amplitude"] *= 1e-7
+    tables = []
+    for name, doc in (("unscaled", config), ("scaled", scaled)):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps(doc))
+        assert main(["solve-elliptic", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append(np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1))
+    want, got = tables
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # Sizes the schema admits whose first array needs 8 PiB: numpy refuses it at
