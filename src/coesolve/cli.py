@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import SCENARIOS, validate_config
+from .config import SCENARIOS, parse_run
 from .errors import (
     AdmissibilityError,
     ConditionNotCheckedError,
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
 
     try:
         config, preset_name = _load_config(args)
-        validate_config(config)
+        parse_run(config)  # for the subcommand check; run_scenario builds the problem
         if config["scenario"] != args.command:
             raise ConfigError(
                 f"config is for scenario {config['scenario']!r}, "

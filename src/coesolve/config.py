@@ -460,7 +460,7 @@ def parse_run(config, seed=None):
 
 
 def validate_config(config) -> dict:
-    """Validate the full document; returns it unchanged on success."""
+    """Validate the full document and return it (the library's check; no run calls it)."""
     parse_run(config)
     build_problem(config["problem"], "problem")  # structural validation
     return config

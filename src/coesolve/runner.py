@@ -22,7 +22,7 @@ from . import __version__
 from .bvp import (
     BoundaryConditions, TGrid, bvp_discrete_residual, solve_bvp_linear, solve_bvp_semilinear,
 )
-from .config import build_field, build_problem, parse_run, validate_config
+from .config import build_field, build_problem, parse_run
 from .errors import ConfigError
 from .evolution import solve_cauchy_linear, solve_cauchy_semilinear
 from .norms import besov_norm, lp_norm, mixed_norm, sobolev_norm, trace_space_norms
@@ -275,8 +275,8 @@ HANDLERS = {
 
 
 def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> RunResult:
-    """Validate, execute and (optionally) persist one scenario run."""
-    validate_config(config)
+    """Validate (parse and build the problem once, before ``out_dir`` is made),
+    execute and (optionally) persist one scenario run."""
     section, run_seed = parse_run(config, seed)
     scenario = config["scenario"]
     rng = np.random.default_rng(run_seed)

@@ -517,6 +517,57 @@ def test_cli_bad_input_exits_two_naming_the_path(case, tmp_path, capsys):
     assert blocker.read_text() == "kept"
 
 
+# case -> (subcommand, edited keys of problem-3.7, their new value, start of the
+# error message); the document root has the empty path, and the subcommand is
+# checked before the problem is built
+CONFIG_ERRORS = {
+    "subcommand-mismatch": ("lambda-sweep", (), None, "scenario: "),
+    "non-positive-operator": ("solve-linear", ("problem", "operator"),
+                              NON_POSITIVE["sturm-liouville-b-zero"], "problem.operator: "),
+    "unknown-section-key": ("solve-linear", ("solve-linear", "lamda"), 1.0,
+                            "solve-linear.lamda: "),
+    "top-level-array": ("solve-linear", (), None, "expected an object"),
+    "mismatch-and-non-positive-operator": ("lambda-sweep", ("problem", "operator"),
+                                           NON_POSITIVE["sturm-liouville-b-zero"], "scenario: "),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_a_config_error_creates_no_output_directory(case, tmp_path, capsys):
+    command, keys, value, named = CONFIG_ERRORS[case]
+    config = get_preset("problem-3.7")
+    if keys:
+        _set(config, keys, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([config] if case == "top-level-array" else config))
+    out = tmp_path / "out" / "D"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named}")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_each_run_builds_its_problem_once(scenario, monkeypatch, capsys):
+    """``cli.main`` and ``run_scenario`` each build a run's problem once (a dense
+    build takes one eig of A)."""
+    builds = []
+    build = runner.build_problem
+
+    def counted(spec, path):
+        builds.append(path)
+        return build(spec, path)
+
+    monkeypatch.setattr("coesolve.config.build_problem", counted)
+    monkeypatch.setattr(runner, "build_problem", counted)
+    name = next(n for n in preset_names() if get_preset(n)["scenario"] == scenario)
+    assert main([scenario, "--preset", name]) == 0
+    assert builds == ["problem"]
+    assert run_scenario(get_preset(name)).exit_code == 0
+    assert builds == ["problem", "problem"]
+
+
 CSV_PRESETS = [name for name in preset_names() if get_preset(name)["scenario"]
                in ("solve-linear", "lambda-sweep", "solve-parabolic", "solve-elliptic")]
 
