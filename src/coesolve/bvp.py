@@ -8,11 +8,12 @@ tensor-product "fast diagonalization" of Lynch, Rice & Thomas (Numer. Math.
 6, 1964): the boundary values are eliminated, the m x m interior t-operator
 is diagonalized once, and every (frequency, t-mode) pair becomes one
 shifted resolvent solve of A, for every operator kind through
-``OperatorRealization.resolvent_solve_many``.  One strip solve is prepared
-per strip length, so each Picard iterate of a semilinear right-hand side
-pays only for its forcing.  Real Robin rows, boundary fields and forcing
-(or a real polynomial F of u or (u, u_t)) solve on the rows of
-``DiscretizedProblem.x_spectrum(True)``, float64 samples on its real rows.
+``OperatorRealization.resolvent_solve_many``.  One ``_StripSolve`` per strip
+length checks the rows and prepares all of that but the forcing, so a Picard
+iterate u -> solve(F(u)) of a semilinear right-hand side pays only for its
+forcing.  Real Robin rows, boundary fields and forcing (float64 forcing is
+never cast to complex), or a real polynomial F of u or (u, u_t), solve on the
+real rows of ``DiscretizedProblem.x_spectrum(True)``, to float64 samples.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class TGrid:
             raise InvalidArgumentError("T must be positive")
         if self.m < 1:
             raise InvalidArgumentError("need at least one interior point")
+        dt2 = self.dt * self.dt  # the t-operator divides by it
+        if not (0.0 < dt2 and np.isfinite(dt2) and np.isfinite(1.0 / dt2)):
+            raise InvalidArgumentError(
+                f"step dt = T / (m + 1) = {self.dt:g}: dt**2 or 1 / dt**2 is 0 or inf")
 
     @property
     def dt(self) -> float:
@@ -104,10 +109,6 @@ class StripField:
             raise InvalidArgumentError("values must have shape (m+2, n, dim)")
         self.values = v
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
     def t_derivative(self) -> np.ndarray:
         """Second-order du/dt: centered inside, one-sided at the ends."""
         v = self.values
@@ -120,10 +121,12 @@ class StripField:
 
 
 def _normalize_forcing(problem, tgrid, forcing) -> Optional[np.ndarray]:
+    """None, or ``forcing`` of shape (m+2, n, dim): float64 as it is, else complex."""
     shape = (tgrid.m + 2, problem.grid.n, problem.operator.dim)
     if forcing is None:
         return None
-    arr = np.asarray(forcing, dtype=complex)
+    arr = np.asarray(forcing)
+    arr = arr if arr.dtype == np.float64 else np.asarray(arr, dtype=complex)
     if arr.shape != shape:
         raise InvalidArgumentError(f"forcing must have shape {shape}")
     return arr
@@ -194,8 +197,7 @@ def solve_bvp_linear(
     ``resolvent_solve_many`` call.
     """
     garr = _normalize_forcing(problem, tgrid, forcing)
-    modes = _checked_t_modes(problem, bc, tgrid, garr is None or not np.any(garr.imag))
-    return _solve_in_modes(problem, tgrid, modes, garr)
+    return _StripSolve(problem, bc, tgrid, garr is None or not np.any(garr.imag)).solve(garr)
 
 
 def _strip_spectrum(problem: DiscretizedProblem, bc: BoundaryConditions,
@@ -206,39 +208,39 @@ def _strip_spectrum(problem: DiscretizedProblem, bc: BoundaryConditions,
     return problem.x_spectrum(real_rhs and not any(np.any(np.imag(x)) for x in data))
 
 
-def _checked_t_modes(problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid,
-                     real_rhs: bool):
-    """Check the problem and the boundary rows, then prepare all of the strip
-    solve of ``tgrid`` but the forcing: t-modes, x-spectrum, shifts,
-    boundary data, on the rows of ``_strip_spectrum``."""
-    problem.require_checked()
-    if is_degenerate(bc):
-        raise DegenerateBoundaryError("boundary rows have vanishing determinant")
-    problem.validate_field(bc.f1)
-    problem.validate_field(bc.f2)
-    kappa, w, w_inv, k_ib, k_bb_inv, k_bu = _t_modes(bc, tgrid)
-    spec = _strip_spectrum(problem, bc, real_rhs)
-    fb = spec.forward(np.stack([bc.f1.values, bc.f2.values])).reshape(2, -1)
-    z = spec.eta[None, :] + kappa[:, None] / spec.den[None, :]
-    lift = -k_ib @ (k_bb_inv @ fb)  # boundary data lifted into the interior rows
-    return w, w_inv, spec, z.reshape(-1), fb, lift, k_bb_inv, k_bu
+class _StripSolve:
+    """The strip solve of one ``tgrid``: the problem and the boundary rows are
+    checked, and all of it but the forcing (t-modes, x-spectrum, shifts,
+    lifted boundary data, on the rows of ``_strip_spectrum``) is prepared once."""
 
+    def __init__(self, problem: DiscretizedProblem, bc: BoundaryConditions, tgrid: TGrid,
+                 real_rhs: bool):
+        problem.require_checked()
+        if is_degenerate(bc):
+            raise DegenerateBoundaryError("boundary rows have vanishing determinant")
+        problem.validate_field(bc.f1)
+        problem.validate_field(bc.f2)
+        self.problem, self.tgrid = problem, tgrid
+        kappa, self.w, self.w_inv, k_ib, self.k_bb_inv, self.k_bu = _t_modes(bc, tgrid)
+        self.spec = spec = _strip_spectrum(problem, bc, real_rhs)
+        self.fb = spec.forward(np.stack([bc.f1.values, bc.f2.values])).reshape(2, -1)
+        self.z = (spec.eta[None, :] + kappa[:, None] / spec.den[None, :]).reshape(-1)
+        self.lift = -k_ib @ (self.k_bb_inv @ self.fb)  # boundary data lifted into the interior rows
 
-def _solve_in_modes(problem: DiscretizedProblem, tgrid: TGrid, modes, forcing) -> StripField:
-    """``solve_bvp_linear`` on the strip solve of ``_checked_t_modes``."""
-    d, m = problem.operator.dim, tgrid.m
-    w, w_inv, spec, z, fb, lift, k_bb_inv, k_bu = modes
-    rows = len(spec.den)  # n, or n/2 + 1 on the real rows
-    garr = _normalize_forcing(problem, tgrid, forcing)
-    rhs = lift
-    if garr is not None:
-        rhs = lift + spec.forward(garr[1:-1]).reshape(m, rows * d)
-    hw = (w_inv @ rhs).reshape(m, rows, d) / spec.den[None, :, None]
-    vw = problem.operator.resolvent_solve_many(z, hw.reshape(m * rows, d))
-    interior = w @ vw.reshape(m, rows * d)
-    ends = k_bb_inv @ (fb - k_bu @ interior)
-    uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, rows, d)
-    return StripField(tgrid=tgrid, grid=problem.grid, values=spec.inverse(uh), real=spec.real)
+    def solve(self, forcing: Optional[np.ndarray]) -> StripField:
+        """The solution for ``forcing``, None or an array of ``_normalize_forcing``."""
+        spec, d, m = self.spec, self.problem.operator.dim, self.tgrid.m
+        rows = len(spec.den)  # n, or n/2 + 1 on the real rows
+        rhs = self.lift
+        if forcing is not None:
+            rhs = self.lift + spec.forward(forcing[1:-1]).reshape(m, rows * d)
+        hw = (self.w_inv @ rhs).reshape(m, rows, d) / spec.den[None, :, None]
+        vw = self.problem.operator.resolvent_solve_many(self.z, hw.reshape(m * rows, d))
+        interior = self.w @ vw.reshape(m, rows * d)
+        ends = self.k_bb_inv @ (self.fb - self.k_bu @ interior)
+        uh = np.concatenate([ends[:1], interior, ends[1:]]).reshape(m + 2, rows, d)
+        return StripField(tgrid=self.tgrid, grid=self.problem.grid, values=spec.inverse(uh),
+                          real=spec.real)
 
 
 def bvp_discrete_residual(
@@ -290,14 +292,6 @@ class IterationReport:
     message: str = ""
 
 
-def _evaluate_rhs(nonlinearity: Nonlinearity, u: StripField) -> np.ndarray:
-    if nonlinearity.arity == 0:
-        return nonlinearity.evaluate((u.values,))
-    if nonlinearity.arity == 1:
-        return nonlinearity.evaluate((u.values, u.t_derivative()))
-    raise InvalidArgumentError("strip nonlinearities take (u,) or (u, u_t)")
-
-
 def solve_bvp_semilinear(
     problem: DiscretizedProblem,
     bc: BoundaryConditions,
@@ -319,17 +313,19 @@ def solve_bvp_semilinear(
     """
     if max_iter < 1:
         raise InvalidArgumentError("max_iter must be >= 1")
-    halvings = 0
-    current = tgrid
+    if nonlinearity.arity > 1:
+        raise InvalidArgumentError("strip nonlinearities take (u,) or (u, u_t)")
+    halvings, current = 0, tgrid
     while True:
-        modes = _checked_t_modes(problem, bc, current, nonlinearity.real)  # once per length
-        u = _solve_in_modes(problem, current, modes, None)
+        strip = _StripSolve(problem, bc, current, nonlinearity.real)  # once per length
+        u = strip.solve(None)
         gaps: List[float] = []
         converged, message = False, "picard iteration did not converge"
         for _ in range(max_iter):
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging F overflows
-                rhs = _evaluate_rhs(nonlinearity, u)
-                u_next = _solve_in_modes(problem, current, modes, rhs)
+                rhs = nonlinearity.evaluate((u.values,) if nonlinearity.arity == 0
+                                            else (u.values, u.t_derivative()))
+                u_next = strip.solve(_normalize_forcing(problem, current, rhs))
                 gap = float(np.max(np.abs(u_next.values - u.values)))
             if not np.isfinite(gap):
                 message = "picard iteration lost finiteness"
@@ -340,14 +336,7 @@ def solve_bvp_semilinear(
                 converged, message = True, ""
                 break
         if converged or halvings >= max_t_halvings:
-            report = IterationReport(
-                converged=converged,
-                iterations=len(gaps),
-                gaps=gaps,
-                t_halvings=halvings,
-                t_final=current.t_final,
-                message=message,
-            )
-            return u, report
+            return u, IterationReport(converged=converged, iterations=len(gaps), gaps=gaps,
+                                      t_halvings=halvings, t_final=current.t_final, message=message)
         halvings += 1
         current = TGrid(t_final=current.t_final / 2.0, m=current.m)

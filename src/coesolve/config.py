@@ -9,7 +9,8 @@ path of the offender, and so do the range limits the library would reject
 later (``m >= 1``, ``trials >= 100``, ``xi_points_per_side >= 2``,
 ``max_mode`` below half the grid, ``max_iter >= 1``, positive tolerances,
 norm exponents, multiplier family indices, a strip F of arity <= 1 with
-nondegenerate boundary rows, and lambdas inside the sector every solve and
+nondegenerate boundary rows and a step T / (m + 1) whose square and inverse
+square are finite and nonzero, and lambdas inside the sector every solve and
 estimate is gated on).  Complex scalars are plain numbers or [re, im] pairs;
 a null value counts as absent.  Randomized constructs (band-limited fields,
 R-bound trials, which run only for p != 2) draw from a generator seeded by
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bvp import is_degenerate
+from .bvp import TGrid, is_degenerate
 from .errors import ConfigError, InvalidArgumentError
 from .evolution import DEFAULT_BLOWUP_THRESHOLD, DEFAULT_STEP_TOL, Nonlinearity, step_count
 from .grids import Field, Grid, band_limited_random
@@ -362,7 +363,12 @@ def _no_semilinear_forcing(s, path):
 
 
 def _strip_rules(s, path):
-    """The strip rules a config alone decides: the arity of F, the boundary determinant."""
+    """The strip rules a config alone decides: a step dt whose square and inverse
+    square are finite and nonzero, the arity of F, the boundary determinant."""
+    try:
+        TGrid(s["t_final"], s["m"])
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc), f"{path}.t_final") from None
     if s["nonlinearity"] is not None and s["nonlinearity"].arity > 1:
         raise ConfigError("strip nonlinearities take (u,) or (u, u_t)",
                           f"{path}.nonlinearity.arity")

@@ -72,15 +72,17 @@ class _Run:
     def emit(self, name, result):
         """Write ``result`` to ``name``: a dict as JSON, a callable returning a
         (header, table) pair as CSV.  The callable runs only when there is a
-        file to write; a failed write is a ``ConfigError`` naming the path."""
+        file to write.  The first write makes the output directory, so a run
+        that fails before it leaves none; a failed write is a ``ConfigError``
+        naming the path."""
         if self.out is None:
             return
         path = self.out / name
+        write, args = (write_json, (result,)) if isinstance(result, dict) else (write_csv, result())
         try:
-            if isinstance(result, dict):
-                write_json(path, result)
-            else:
-                write_csv(path, *result())
+            if not self.files:
+                self.out.mkdir(parents=True, exist_ok=True)
+            write(path, *args)
         except OSError as exc:
             raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
         self.files[name] = str(path)
@@ -275,8 +277,9 @@ HANDLERS = {
 
 
 def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> RunResult:
-    """Validate (parse and build the problem once, before ``out_dir`` is made),
-    execute and (optionally) persist one scenario run."""
+    """Validate (parse and build the problem once), execute and (optionally)
+    persist one scenario run; ``out_dir`` is made at its first result file,
+    so a run that fails before writing leaves none."""
     section, run_seed = parse_run(config, seed)
     scenario = config["scenario"]
     rng = np.random.default_rng(run_seed)
@@ -284,11 +287,6 @@ def run_scenario(config: dict, out_dir=None, seed=None, preset_name=None) -> Run
 
     problem = build_problem(config["problem"], "problem")
     out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot use {str(out)!r} as the output directory: {exc.strerror}")
     run = _Run(problem, rng, run_seed, out, {"scenario": scenario, "seed": run_seed})
     if scenario != "check-condition":
         problem.check_condition()  # every solve and estimate is gated on this

@@ -37,6 +37,7 @@ from coesolve.operators import (
     PeriodicSturmLiouvilleOperator,
 )
 from coesolve.presets import get_preset
+from coesolve.solver import XSpectrum
 
 
 def scalar_problem(half_width=np.pi, n=16, a=1.0):
@@ -554,6 +555,48 @@ def test_picard_validation():
         solve_bvp_semilinear(prob, bc, TGrid(1.0, 8), two_args)
 
 
+def test_an_arity_two_strip_f_is_refused_before_any_solve(monkeypatch):
+    calls = []
+    solve = OperatorRealization.resolvent_solve_many
+
+    def counted(self, z_rows, w_rows):
+        calls.append(len(z_rows))
+        return solve(self, z_rows, w_rows)
+
+    monkeypatch.setattr(OperatorRealization, "resolvent_solve_many", counted)
+    prob = scalar_problem()
+    bc = BoundaryConditions(
+        1.0, 0.0, 0.0, 1.0, f1=cos_field(prob.grid), f2=zero_field(prob.grid)
+    )
+    two_args = Nonlinearity(kind="pointwise-polynomial", arity=2, terms=(((1, 0, 0), 1.0),))
+    with pytest.raises(InvalidArgumentError, match="strip nonlinearities take"):
+        solve_bvp_semilinear(prob, bc, TGrid(1.0, 8), two_args)
+    assert calls == []
+
+
+@pytest.mark.parametrize("arity, terms", [(0, (((3,), -1.0),)), (1, (((0, 1), 0.1),))])
+def test_a_real_picard_forcing_reaches_the_x_transform_as_float64(arity, terms, monkeypatch):
+    """A real F(u) or F(u, u_t) is transformed as the float64 rows it is, not
+    as a complex copy made on every iterate."""
+    prob, tg = scalar_problem(), TGrid(1.0, 16)
+    dtypes = []
+    forward = XSpectrum.forward
+
+    def recorded(self, values):
+        if values.shape == (tg.m, prob.grid.n, 1):  # the interior forcing rows
+            dtypes.append(values.dtype)
+        return forward(self, values)
+
+    monkeypatch.setattr(XSpectrum, "forward", recorded)
+    bc = BoundaryConditions(
+        1.0, 0.0, 0.0, 1.0, f1=cos_field(prob.grid), f2=zero_field(prob.grid)
+    )
+    nl = Nonlinearity(kind="pointwise-polynomial", arity=arity, terms=terms)
+    u, report = solve_bvp_semilinear(prob, bc, tg, nl)
+    assert report.converged and u.real
+    assert len(dtypes) == report.iterations and set(dtypes) == {np.dtype(np.float64)}
+
+
 
 # ---------------------------------------------------------------------------
 # real strip solves on the half spectrum
@@ -606,7 +649,7 @@ def strip_run(prob, bc, tg, form, coeffs, forcing):
     nl = Nonlinearity(kind="pointwise-polynomial", arity=len(terms[0][0]) - 1, terms=terms)
     u, report = solve_bvp_semilinear(prob, bc, tg, nl, max_iter=60, tol=1e-13)
     assert report.converged
-    return u, bvp._evaluate_rhs(nl, u)
+    return u, nl.evaluate((u.values,) if nl.arity == 0 else (u.values, u.t_derivative()))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

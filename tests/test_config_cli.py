@@ -212,6 +212,9 @@ BAD_EDITS = [
     # a sweep forcing of L_p norm 0, which lambda_sweep refuses
     ("example-4.3-sweep", ("lambda-sweep", "forcing"), {"type": "zero"}, "lambda-sweep.forcing"),
     ("example-4.3-sweep", ("lambda-sweep", "forcing", "amplitude"), 0, "lambda-sweep.forcing"),
+    # a strip step dt = T / (m + 1) whose 1 / dt**2 overflows, and one whose dt**2 does
+    ("problem-4.6", ("solve-elliptic", "t_final"), 1e-155, "solve-elliptic.t_final"),
+    ("problem-4.6", ("solve-elliptic", "t_final"), 1e160, "solve-elliptic.t_final"),
 ]
 
 
@@ -548,6 +551,30 @@ def test_a_config_error_creates_no_output_directory(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# case -> (preset, edited keys, their new value, exit code): runs that fail
+# before their first result file, in a handler, at the admissibility gate, in
+# the strip rules and in a numerical step
+FAILED_RUNS = {
+    "zero-sweep-forcing": ("example-4.3-sweep", ("lambda-sweep", "forcing"), {"type": "zero"}, 2),
+    "nu-zero": ("problem-3.7", ("problem", "symbols", "nu"), 0, 4),
+    "tiny-strip": ("problem-4.6", ("solve-elliptic", "t_final"), 1e-300, 2),
+    "huge-xi-sample": ("example-4.3-rbound", ("rbound", "xi_samples"), [1e300], 3),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_RUNS)
+def test_a_failed_run_leaves_no_output_directory(case, tmp_path, capsys):
+    preset, keys, value, code = FAILED_RUNS[case]
+    config = get_preset(preset)
+    _set(config, keys, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out" / "D"
+    assert main([config["scenario"], "--config", str(cfg), "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_each_run_builds_its_problem_once(scenario, monkeypatch, capsys):
     """``cli.main`` and ``run_scenario`` each build a run's problem once (a dense
@@ -655,13 +682,11 @@ def test_an_oversized_run_is_a_numerical_failure(preset, keys, value, tmp_path, 
 ARITHMETIC = [
     ("norms-gaussian", ("norms-report", "norms"),
      get_preset("norms-gaussian")["norms-report"]["norms"] + [{"kind": "besov", "s": 400}]),
-    ("problem-4.6", ("solve-elliptic", "t_final"), 1e300),
     ("example-4.3-sweep", ("lambda-sweep", "lambdas"), [1e200]),
 ]
 # The class each edit raises, which the message names with the scenario.
 ARITHMETIC_CLASS = {
     "norms-gaussian": "OverflowError",
-    "problem-4.6": "OverflowError",
     "example-4.3-sweep": "ZeroDivisionError",
 }
 
